@@ -28,7 +28,8 @@ let bitonic_program (data : int array option) (comm : Comm.t) : int array option
       data
   in
   let dv = Scl_sim.Dvec.scatter comm ~root:0 padded_data in
-  let mine = ref (Seq_kernels.quicksort (Scl_sim.Dvec.local dv)) in
+  let mine = ref (Scl_sim.Dvec.local dv) in
+  Seq_kernels.sort_in_place !mine;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Array.length !mine));
   for k = 1 to d do
     (* Stage k: bitonic merge within groups of 2^k; direction from bit k. *)

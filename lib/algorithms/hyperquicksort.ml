@@ -119,9 +119,11 @@ let hqs_program ~verbose (data : int array option) (comm : Comm.t) : int array o
       "[" ^ String.concat " " (Array.to_list (Array.map string_of_int a)) ^ "]"
     else Printf.sprintf "[%d elements]" (Array.length a)
   in
-  (* Distribute, then SEQ_QUICKSORT locally. *)
+  (* Distribute, then SEQ_QUICKSORT locally — in place: the scattered
+     chunk is a fresh copy owned by this rank on every engine. *)
   let dv = Scl_sim.Dvec.scatter comm ~root:0 data in
-  let local = ref (Seq_kernels.quicksort (Scl_sim.Dvec.local dv)) in
+  let local = ref (Scl_sim.Dvec.local dv) in
+  Seq_kernels.sort_in_place !local;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Array.length !local));
   say "after local quicksort: %s" (show !local);
   (* Iterate over cube dimensions, splitting the group communicator each
@@ -184,59 +186,6 @@ let sort_procs ~procs (data : int array) : int array * Procs.stats =
     invalid_arg "Hyperquicksort.sort_procs: processor count must be a power of two";
   Scl_sim.Spmd.run_procs_collect ~procs (fun comm ->
       hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
-
-(* The same SPMD program with the local phases on the unboxed int flat
-   tier ([Scl.Flat.Int]): in-place local sort, O(log n) zero-copy
-   [split_at] (the boxed kernel copies both halves), and merge into fresh
-   flat storage.  Only the inter-processor messages stay boxed — the
-   engines' slice tier is float64-only and Bigarrays don't marshal, so
-   the give-portion converts to an [int array] at the exchange boundary.
-   Flops charges are identical to [hqs_program], keeping sim timings
-   comparable between the tiers. *)
-let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array option =
-  let module FI = Scl.Flat.Int in
-  let p = Comm.size comm in
-  let d = log2_exact p in
-  let dv = Scl_sim.Dvec.scatter comm ~root:0 data in
-  let local = ref (FI.of_int_array (Scl_sim.Dvec.local dv)) in
-  FI.sort !local;
-  Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Scl.Flat.length !local));
-  let c = ref comm in
-  for _it = 0 to d - 1 do
-    let gsz = Comm.size !c in
-    let half = gsz / 2 in
-    let me = Comm.rank !c in
-    Comm.work_flops comm Scl_sim.Kernels.median_flops;
-    let first_some a b = if a = None then b else a in
-    let pivot = Comm.allreduce !c first_some (FI.midvalue !local) in
-    (match pivot with
-    | None -> ()
-    | Some pivot ->
-        Comm.work_flops comm (Scl_sim.Kernels.binary_search_flops (Scl.Flat.length !local));
-        let lo, hi = FI.split_at pivot !local in
-        let keep, give = if me < half then (lo, hi) else (hi, lo) in
-        let partner = me lxor half in
-        let (recvd : int array) = Comm.exchange !c ~partner (FI.to_int_array give) in
-        Comm.work_flops comm
-          (Scl_sim.Kernels.merge_flops (Scl.Flat.length keep + Array.length recvd));
-        local := FI.merge keep (FI.of_int_array recvd));
-    c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
-  done;
-  let result = Comm.gather comm ~root:0 (FI.to_int_array !local) in
-  Option.map (fun chunks -> Array.concat (Array.to_list chunks)) result
-
-let sort_sim_flatint ?(cost = Cost_model.ap1000) ?trace ?(topology = Topology.Hypercube)
-    ~procs (data : int array) : int array * Sim.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_sim_flatint: processor count must be a power of two";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology ~procs (fun comm ->
-      hqs_program_flatint (if Comm.rank comm = 0 then Some data else None) comm)
-
-let sort_multicore_flatint ?domains ~procs (data : int array) : int array * Multicore.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_multicore_flatint: processor count must be a power of two";
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      hqs_program_flatint (if Comm.rank comm = 0 then Some data else None) comm)
 
 (* Figure-2 style annotated run: returns the sorted array, the stats and
    the trace notes describing each stage. *)

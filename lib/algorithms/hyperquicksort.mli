@@ -47,24 +47,6 @@ val sort_procs : procs:int -> int array -> int array * Procs.stats
     identical output to both other engines. [procs] must be a power of
     two. *)
 
-val sort_sim_flatint :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  int array ->
-  int array * Sim.stats
-(** {!sort_sim} with the local phases (sort, split, merge) on the unboxed
-    int flat tier ([Scl.Flat.Int]): in-place local sort and zero-copy
-    split views. Output and flops charges are identical to {!sort_sim};
-    messages stay boxed at the exchange boundary (the slice tier is
-    float64-only). *)
-
-val sort_multicore_flatint :
-  ?domains:int -> procs:int -> int array -> int array * Multicore.stats
-(** The flat-int program body on real domains; identical output to
-    {!sort_multicore}. *)
-
 val sort_sim_traced :
   ?cost:Cost_model.t -> procs:int -> int array -> int array * Sim.stats * (float * int * string) list
 (** Like {!sort_sim} with per-stage trace notes — regenerates the paper's

@@ -22,7 +22,8 @@ let sort_program (data : int array option) (comm : Comm.t) : int array option =
     Option.map (fun a -> Array.append a (Array.make (padded - total) sentinel)) data
   in
   let dv = Scl_sim.Dvec.scatter comm ~root:0 padded_data in
-  let mine = ref (Seq_kernels.quicksort (Scl_sim.Dvec.local dv)) in
+  let mine = ref (Scl_sim.Dvec.local dv) in
+  Seq_kernels.sort_in_place !mine;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Array.length !mine));
   (* P phases; in phase k the pairs (i, i+1) with i ≡ k (mod 2) compare-split:
      the left partner keeps the low half, the right the high half. *)

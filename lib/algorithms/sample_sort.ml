@@ -65,7 +65,8 @@ open Machine
 let psrs_program (data : int array option) (comm : Comm.t) : int array option =
   let p = Comm.size comm in
   let dv = Scl_sim.Dvec.scatter comm ~root:0 data in
-  let sorted = Seq_kernels.quicksort (Scl_sim.Dvec.local dv) in
+  let sorted = Scl_sim.Dvec.local dv in
+  Seq_kernels.sort_in_place sorted;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Array.length sorted));
   (* samples to root, splitters back *)
   let samples = regular_samples p sorted in
@@ -84,7 +85,7 @@ let psrs_program (data : int array option) (comm : Comm.t) : int array option =
   let received = Comm.alltoall comm buckets in
   let mine = Array.concat (Array.to_list received) in
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Array.length mine));
-  let mine = Seq_kernels.quicksort mine in
+  Seq_kernels.sort_in_place mine;
   Comm.gather comm ~root:0 mine |> Option.map (fun chunks -> Array.concat (Array.to_list chunks))
 
 let sort_sim ?(cost = Cost_model.ap1000) ?trace ~procs (data : int array) :

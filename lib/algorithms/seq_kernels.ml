@@ -3,55 +3,59 @@
    paper these are Fortran or C; here they are ordinary OCaml functions —
    SCL only requires them to be sequential black boxes. *)
 
-(* SEQ_QUICKSORT: in-place three-way quicksort with insertion sort below a
-   cutoff; returns a fresh sorted array. *)
+(* SEQ_QUICKSORT's body: an LSD radix sort, 8-bit digits.  Digits are
+   taken from [x lxor min_int], which flips the sign bit so that signed
+   order becomes unsigned order over all 63 bits.  A first pass ORs
+   [x lxor a.(0)] over the keys; a digit whose bits never vary is already
+   in order and its pass is skipped (30-bit keys need 4 of the 8 passes).
+   Each pass counts, then scatters stably, ping-ponging between [a] and one
+   scratch buffer; a result left in the buffer is blitted back. *)
+let sort_in_place (a : int array) : unit =
+  let n = Array.length a in
+  let varying = ref 0 in
+  for i = 1 to n - 1 do
+    varying := !varying lor (a.(i) lxor a.(0))
+  done;
+  if !varying <> 0 then begin
+    let count = Array.make 256 0 in
+    let src = ref a and dst = ref (Array.make n 0) in
+    let shift = ref 0 in
+    while !shift < Sys.int_size do
+      if (!varying lsr !shift) land 255 <> 0 then begin
+        let s = !src and d = !dst and sh = !shift in
+        Array.fill count 0 256 0;
+        for i = 0 to n - 1 do
+          let k = ((s.(i) lxor min_int) lsr sh) land 255 in
+          count.(k) <- count.(k) + 1
+        done;
+        (* exclusive prefix sums: the first slot of each digit's run *)
+        let total = ref 0 in
+        for k = 0 to 255 do
+          let c = count.(k) in
+          count.(k) <- !total;
+          total := !total + c
+        done;
+        for i = 0 to n - 1 do
+          let x = s.(i) in
+          let k = ((x lxor min_int) lsr sh) land 255 in
+          let pos = count.(k) in
+          d.(pos) <- x;
+          count.(k) <- pos + 1
+        done;
+        src := d;
+        dst := s
+      end;
+      shift := !shift + 8
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end
+
+(* SEQ_QUICKSORT: the paper's name for the local sort, kept for the
+   skeleton programs; returns a fresh sorted array, input untouched. *)
 let quicksort (a : int array) : int array =
-  let a = Array.copy a in
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  in
-  let rec qs lo hi =
-    if hi - lo < 16 then insertion lo hi
-    else begin
-      (* median-of-three pivot *)
-      let mid = lo + ((hi - lo) / 2) in
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi) < a.(lo) then swap hi lo;
-      if a.(hi) < a.(mid) then swap hi mid;
-      let pivot = a.(mid) in
-      (* three-way partition (Dutch national flag) *)
-      let lt = ref lo and gt = ref hi and i = ref lo in
-      while !i <= !gt do
-        if a.(!i) < pivot then begin
-          swap !lt !i;
-          incr lt;
-          incr i
-        end
-        else if a.(!i) > pivot then begin
-          swap !i !gt;
-          decr gt
-        end
-        else incr i
-      done;
-      qs lo (!lt - 1);
-      qs (!gt + 1) hi
-    end
-  in
-  if Array.length a > 1 then qs 0 (Array.length a - 1);
-  a
+  let c = Array.copy a in
+  sort_in_place c;
+  c
 
 (* MIDVALUE: the median (middle element) of an already-sorted array;
    [None] when empty. *)

@@ -3,9 +3,15 @@
     sequential baselines they feed. SCL treats these as black boxes; they
     are ordinary OCaml functions here. *)
 
+val sort_in_place : int array -> unit
+(** Sort ascending in place: an LSD radix sort over 8-bit digits of the
+    sign-flipped key, skipping digits in which no two keys differ.
+    Allocates one scratch buffer of the array's length. *)
+
 val quicksort : int array -> int array
-(** Three-way quicksort (median-of-three, insertion-sort cutoff); returns a
-    fresh sorted array, input untouched. *)
+(** SEQ_QUICKSORT, the paper's sequential local sort: a fresh sorted array,
+    input untouched. The name is the paper's; the body is {!sort_in_place}
+    on a copy. *)
 
 val midvalue : int array -> int option
 (** Middle element of an already-sorted array; [None] when empty (the

@@ -17,7 +17,6 @@
 
 type ('a, 'b) t = ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
 type float1 = (float, Bigarray.float64_elt) t
-type int1 = (int, Bigarray.int_elt) t
 
 let float64 = Bigarray.float64
 let int = Bigarray.int
@@ -204,119 +203,3 @@ let unapply pat (pieces : ('a, 'b) t array) ~(kind : ('a, 'b) Bigarray.kind) : (
       done;
       out
   | Partition.Custom _ -> unapply_generic pat pieces ~kind
-
-(* --- int flat tier -------------------------------------------------------- *)
-
-(* The sort-family local kernels over unboxed native-int storage: the
-   [Seq_kernels] procedures (SEQ_QUICKSORT / MIDVALUE / SPLIT / MERGE)
-   re-expressed on [int1] so the hyperquicksort local phases stop boxing
-   keys.  Same algorithms, same tie-breaking, so outputs are
-   value-identical to the boxed kernels (pinned by property tests) —
-   and [split_at] improves on the boxed rendering: the two halves are
-   O(1) sub-views of the input, not [Array.sub] copies. *)
-module Int = struct
-  type t = int1
-
-  let insertion_cutoff = 16
-
-  (* In-place three-way quicksort with insertion sort below the cutoff —
-     the [Seq_kernels.quicksort] algorithm on unboxed storage. *)
-  let sort (a : t) : unit =
-    let swap i j =
-      let t = Bigarray.Array1.unsafe_get a i in
-      Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get a j);
-      Bigarray.Array1.unsafe_set a j t
-    in
-    let insertion lo hi =
-      for i = lo + 1 to hi do
-        let x = Bigarray.Array1.unsafe_get a i in
-        let j = ref (i - 1) in
-        while !j >= lo && Bigarray.Array1.unsafe_get a !j > x do
-          Bigarray.Array1.unsafe_set a (!j + 1) (Bigarray.Array1.unsafe_get a !j);
-          decr j
-        done;
-        Bigarray.Array1.unsafe_set a (!j + 1) x
-      done
-    in
-    let rec qs lo hi =
-      if hi - lo < insertion_cutoff then insertion lo hi
-      else begin
-        (* median-of-three pivot *)
-        let mid = lo + ((hi - lo) / 2) in
-        if Bigarray.Array1.unsafe_get a mid < Bigarray.Array1.unsafe_get a lo then swap mid lo;
-        if Bigarray.Array1.unsafe_get a hi < Bigarray.Array1.unsafe_get a lo then swap hi lo;
-        if Bigarray.Array1.unsafe_get a hi < Bigarray.Array1.unsafe_get a mid then swap hi mid;
-        let pivot = Bigarray.Array1.unsafe_get a mid in
-        (* three-way partition (Dutch national flag) *)
-        let lt = ref lo and gt = ref hi and i = ref lo in
-        while !i <= !gt do
-          let x = Bigarray.Array1.unsafe_get a !i in
-          if x < pivot then begin
-            swap !lt !i;
-            incr lt;
-            incr i
-          end
-          else if x > pivot then begin
-            swap !i !gt;
-            decr gt
-          end
-          else incr i
-        done;
-        qs lo (!lt - 1);
-        qs (!gt + 1) hi
-      end
-    in
-    if length a > 1 then qs 0 (length a - 1)
-
-  let sorted_copy (a : t) : t =
-    let c = copy a in
-    sort c;
-    c
-
-  (* MIDVALUE: the middle element of an already-sorted chunk. *)
-  let midvalue (a : t) : int option = if length a = 0 then None else Some (get a (length a / 2))
-
-  (* SPLIT at a pivot by binary search; both halves are O(1) zero-copy
-     sub-views of the input (the boxed kernel pays two [Array.sub]
-     copies here). *)
-  let split_at (pivot : int) (a : t) : t * t =
-    let n = length a in
-    let rec bs lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if get a mid <= pivot then bs (mid + 1) hi else bs lo mid
-      end
-    in
-    let cut = bs 0 n in
-    (sub_view a ~pos:0 ~len:cut, sub_view a ~pos:cut ~len:(n - cut))
-
-  (* MERGE two sorted chunks into a fresh one (left-biased on ties, like
-     the boxed kernel — irrelevant for int keys, kept for symmetry). *)
-  let merge (a : t) (b : t) : t =
-    let na = length a and nb = length b in
-    let out = create int (na + nb) in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to na + nb - 1 do
-      if
-        !i < na
-        && (!j >= nb || Bigarray.Array1.unsafe_get a !i <= Bigarray.Array1.unsafe_get b !j)
-      then begin
-        Bigarray.Array1.unsafe_set out k (Bigarray.Array1.unsafe_get a !i);
-        incr i
-      end
-      else begin
-        Bigarray.Array1.unsafe_set out k (Bigarray.Array1.unsafe_get b !j);
-        incr j
-      end
-    done;
-    out
-
-  let is_sorted (a : t) : bool =
-    let n = length a in
-    let rec go i = i >= n || (Bigarray.Array1.unsafe_get a (i - 1) <= Bigarray.Array1.unsafe_get a i && go (i + 1)) in
-    go 1
-
-  let of_int_array (src : int array) : t = of_array int src
-  let to_int_array (a : t) : int array = to_array a
-end

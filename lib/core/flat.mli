@@ -18,9 +18,6 @@ type ('a, 'b) t = ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
 type float1 = (float, Bigarray.float64_elt) t
 (** Unboxed 64-bit float vector — the numeric-workload payload type. *)
 
-type int1 = (int, Bigarray.int_elt) t
-(** Unboxed native-int vector. *)
-
 val float64 : (float, Bigarray.float64_elt) Bigarray.kind
 val int : (int, Bigarray.int_elt) Bigarray.kind
 
@@ -69,32 +66,3 @@ val apply_generic : Partition.t -> ('a, 'b) t -> ('a, 'b) t array
 
 val unapply_generic :
   Partition.t -> ('a, 'b) t array -> kind:('a, 'b) Bigarray.kind -> ('a, 'b) t
-
-(** {1 Int tier}
-
-    The sort-family local kernels ([Seq_kernels]'s SEQ_QUICKSORT /
-    MIDVALUE / SPLIT / MERGE) over unboxed native-int storage. Same
-    algorithms and tie-breaking as the boxed kernels, so outputs are
-    value-identical (property-tested); [split_at] additionally returns
-    O(1) zero-copy sub-views where the boxed kernel copies. *)
-module Int : sig
-  type t = int1
-
-  val sort : t -> unit
-  (** In-place three-way quicksort, insertion sort below 16 elements. *)
-
-  val sorted_copy : t -> t
-  val midvalue : t -> int option
-  (** Middle element of an already-sorted chunk; [None] when empty. *)
-
-  val split_at : int -> t -> t * t
-  (** [split_at pivot a] on sorted [a]: ([<= pivot], [> pivot]) as
-      zero-copy sub-views (binary search, O(log n), no copying). *)
-
-  val merge : t -> t -> t
-  (** Merge two sorted chunks into a fresh one. *)
-
-  val is_sorted : t -> bool
-  val of_int_array : int array -> t
-  val to_int_array : t -> int array
-end

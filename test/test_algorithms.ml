@@ -9,6 +9,11 @@ open Algorithms
 
 (* --- sequential kernels ---------------------------------------------------- *)
 
+let sorted_copy a =
+  let b = Array.copy a in
+  Array.sort compare b;
+  b
+
 let prop_quicksort_sorts =
   qtest "SEQ_QUICKSORT sorts any input"
     QCheck.(list int)
@@ -23,6 +28,44 @@ let test_quicksort_preserves_input () =
   let a = [| 3; 1; 2 |] in
   ignore (Seq_kernels.quicksort a);
   Alcotest.(check (array int)) "input untouched" [| 3; 1; 2 |] a
+
+let prop_sort_in_place_agrees =
+  qtest "sort_in_place = quicksort = Array.sort"
+    QCheck.(list int)
+    (fun xs ->
+      let a = Array.of_list xs in
+      let c = Array.copy a in
+      Seq_kernels.sort_in_place c;
+      let expect = sorted_copy a in
+      c = expect && Seq_kernels.quicksort a = expect)
+
+(* Edge cases of the radix kernel: degenerate lengths, runs, the sign
+   flip (min_int/max_int and mixed signs) and digit skipping (keys that
+   differ only in the top digit, bits 56-62, which holds the sign bit). *)
+let test_radix_edge_cases () =
+  let top_digit i = ((i * 37) mod 128) lsl 56 in
+  List.iter
+    (fun (name, a) ->
+      let saved = Array.copy a in
+      let expect = sorted_copy a in
+      let c = Array.copy a in
+      Seq_kernels.sort_in_place c;
+      Alcotest.(check (array int)) (name ^ ": sort_in_place") expect c;
+      Alcotest.(check (array int)) (name ^ ": quicksort") expect (Seq_kernels.quicksort a);
+      Alcotest.(check (array int)) (name ^ ": input untouched") saved a)
+    [
+      ("empty", [||]);
+      ("singleton", [| 42 |]);
+      ("singleton min_int", [| min_int |]);
+      ("all equal", Array.make 300 (-7));
+      ("few distinct", Array.init 1000 (fun i -> (i * 7 mod 5) - 2));
+      ("already sorted", Array.init 1000 (fun i -> (i * 3) - 1500));
+      ("reversed", Array.init 1000 (fun i -> 1500 - (i * 3)));
+      ("min_int, max_int and 0", [| max_int; 0; min_int; 0; max_int; min_int; -1; 1 |]);
+      ("mixed signs", Array.init 500 (fun i -> if i mod 2 = 0 then i * 7919 else -(i * 104729)));
+      ("bits 56-62 only", Array.init 128 top_digit);
+      ("bits 56-62 over shared low bits", Array.init 128 (fun i -> top_digit i lor 0x5a5a));
+    ]
 
 let test_midvalue () =
   Alcotest.(check (option int)) "empty" None (Seq_kernels.midvalue [||]);
@@ -89,11 +132,6 @@ let prop_matmul_identity =
       Array.for_all2 (fun r1 r2 -> Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-12) r1 r2) c a)
 
 (* --- hyperquicksort --------------------------------------------------------- *)
-
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
 
 let prop_hqs_recursive_sorts =
   qtest ~count:60 "recursive SCL hyperquicksort sorts"
@@ -185,40 +223,22 @@ let test_hqs_sim_deterministic () =
   Alcotest.(check bool) "same makespan" true (s1.Machine.Sim.makespan = s2.Machine.Sim.makespan);
   Alcotest.(check int) "same messages" s1.Machine.Sim.total_msgs s2.Machine.Sim.total_msgs
 
-let prop_hqs_flatint_equals_boxed_sim =
-  qtest ~count:25 "flat-int sim = boxed sim (values and costs)"
-    QCheck.(pair (list int) (int_range 0 3))
-    (fun (xs, dims) ->
-      let a = Array.of_list xs in
-      let procs = 1 lsl dims in
-      let boxed, bs = Hyperquicksort.sort_sim ~procs a in
-      let flat, fs = Hyperquicksort.sort_sim_flatint ~procs a in
-      flat = boxed && fs.Machine.Sim.total_msgs = bs.Machine.Sim.total_msgs)
-
-let test_hqs_flatint_adversarial () =
+(* Each rank sorts its own scattered copy in place; the caller's array
+   must come back unchanged on every engine and processor count. *)
+let test_hqs_caller_data_untouched () =
+  let rng = Runtime.Xoshiro.of_seed 12 in
+  let data = Runtime.Xoshiro.int_array rng ~len:3_000 ~bound:1_000_000 in
+  let saved = Array.copy data in
+  let expect = sorted_copy data in
   List.iter
-    (fun a ->
-      let expect = sorted_copy a in
-      let s, _ = Hyperquicksort.sort_sim_flatint ~procs:8 a in
-      Alcotest.(check (array int)) "flat-int sim" expect s)
-    [
-      [||];
-      [| 5 |];
-      Array.make 100 7;
-      Array.init 100 (fun i -> -i);
-      Array.append (Array.make 50 0) (Array.make 50 1000);
-    ]
-
-let test_hqs_flatint_multicore () =
-  let rng = Runtime.Xoshiro.of_seed 31 in
-  let a = Runtime.Xoshiro.int_array rng ~len:10_000 ~bound:1_000_000 in
-  let sorted, _ = Hyperquicksort.sort_multicore_flatint ~procs:4 a in
-  Alcotest.(check (array int)) "flat-int multicore" (sorted_copy a) sorted;
-  Alcotest.(check bool) "procs=6 rejected" true
-    (try
-       ignore (Hyperquicksort.sort_multicore_flatint ~procs:6 [| 1 |]);
-       false
-     with Invalid_argument _ -> true)
+    (fun procs ->
+      let s, _ = Hyperquicksort.sort_sim ~procs data in
+      Alcotest.(check (array int)) (Printf.sprintf "sim sorts p=%d" procs) expect s;
+      Alcotest.(check (array int)) (Printf.sprintf "sim leaves data p=%d" procs) saved data;
+      let m, _ = Hyperquicksort.sort_multicore ~procs data in
+      Alcotest.(check (array int)) (Printf.sprintf "multicore sorts p=%d" procs) expect m;
+      Alcotest.(check (array int)) (Printf.sprintf "multicore leaves data p=%d" procs) saved data)
+    [ 1; 2; 4 ]
 
 let test_hqs_traced_figure2 () =
   (* The Figure 2 regeneration: 32 values on a 2-cube, with stage notes. *)
@@ -418,6 +438,30 @@ let test_bitonic_balanced_load () =
   let s2, _ = Hyperquicksort.sort_sim ~procs:4 a in
   Alcotest.(check (array int)) "bitonic" (sorted_copy a) s1;
   Alcotest.(check (array int)) "hqs" (sorted_copy a) s2
+
+(* PSRS, bitonic and odd-even sort their scattered chunks (and PSRS its
+   received buckets) in place; the caller's array must come back
+   unchanged. *)
+let test_baseline_sorts_caller_data_untouched () =
+  let rng = Runtime.Xoshiro.of_seed 13 in
+  let data = Runtime.Xoshiro.int_array rng ~len:2_000 ~bound:1_000_000 in
+  let saved = Array.copy data in
+  let expect = sorted_copy data in
+  List.iter
+    (fun procs ->
+      List.iter
+        (fun (name, sort) ->
+          Alcotest.(check (array int)) (Printf.sprintf "%s sorts p=%d" name procs) expect
+            (sort ~procs data);
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s leaves data p=%d" name procs)
+            saved data)
+        [
+          ("psrs", fun ~procs a -> fst (Sample_sort.sort_sim ~procs a));
+          ("bitonic", fun ~procs a -> fst (Bitonic.sort_sim ~procs a));
+          ("odd-even", fun ~procs a -> fst (Odd_even.sort_sim ~procs a));
+        ])
+    [ 1; 2; 4 ]
 
 let test_sort_comparison_shape () =
   (* The "best available speedup" context of Figure 3: hyperquicksort should
@@ -937,6 +981,8 @@ let () =
         [
           prop_quicksort_sorts;
           Alcotest.test_case "quicksort pure" `Quick test_quicksort_preserves_input;
+          prop_sort_in_place_agrees;
+          Alcotest.test_case "radix edge cases" `Quick test_radix_edge_cases;
           Alcotest.test_case "midvalue" `Quick test_midvalue;
           prop_split_at;
           prop_merge;
@@ -959,9 +1005,8 @@ let () =
           Alcotest.test_case "speedup shape" `Slow test_hqs_sim_speedup_shape;
           Alcotest.test_case "simulator deterministic" `Quick test_hqs_sim_deterministic;
           Alcotest.test_case "figure-2 trace" `Quick test_hqs_traced_figure2;
-          prop_hqs_flatint_equals_boxed_sim;
-          Alcotest.test_case "flat-int adversarial inputs" `Quick test_hqs_flatint_adversarial;
-          Alcotest.test_case "flat-int multicore" `Slow test_hqs_flatint_multicore;
+          Alcotest.test_case "caller data untouched (sim, multicore)" `Quick
+            test_hqs_caller_data_untouched;
         ] );
       ( "gauss",
         [
@@ -995,6 +1040,8 @@ let () =
           prop_bitonic_sim_sorts;
           Alcotest.test_case "bitonic sentinel guard" `Quick test_bitonic_rejects_sentinel;
           Alcotest.test_case "skewed load" `Quick test_bitonic_balanced_load;
+          Alcotest.test_case "caller data untouched" `Quick
+            test_baseline_sorts_caller_data_untouched;
           Alcotest.test_case "comparison shape" `Slow test_sort_comparison_shape;
         ] );
       ( "histogram",

@@ -305,6 +305,18 @@ let test_engine_equivalence_hyperquicksort () =
         (pr = sim))
     [ 1; 2; 4 ]
 
+(* Each rank sorts its own scattered copy in place: the forked ranks must
+   leave the caller's array unchanged. *)
+let test_hqs_procs_caller_data_untouched () =
+  let rng = Runtime.Xoshiro.of_seed 12 in
+  let data = Array.init 600 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
+  let saved = Array.copy data in
+  List.iter
+    (fun procs ->
+      let _ = Algorithms.Hyperquicksort.sort_procs ~procs data in
+      Alcotest.(check (array int)) (Printf.sprintf "data unchanged at p=%d" procs) saved data)
+    [ 1; 2; 4 ]
+
 (* --- chaos on real processes --------------------------------------------- *)
 
 let test_chaos_zero_fault_value_identical () =
@@ -415,6 +427,8 @@ let suite =
           test_collective_battery_with_slices;
         Alcotest.test_case "reduce root sweep" `Quick test_reduce_root_sweep;
         Alcotest.test_case "hyperquicksort p=1/2/4" `Quick test_engine_equivalence_hyperquicksort;
+        Alcotest.test_case "hyperquicksort leaves caller data p=1/2/4" `Quick
+          test_hqs_procs_caller_data_untouched;
       ] );
     ( "chaos",
       [

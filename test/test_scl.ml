@@ -1005,48 +1005,6 @@ let test_flat_scan_minor_words () =
     true
     (flat_words < boxed_words)
 
-(* --- Flat.Int (sort-family kernels) ----------------------------------------------- *)
-
-let prop_flat_int_sort =
-  qtest "Flat.Int.sort = Array.sort"
-    QCheck.(list int)
-    (fun xs ->
-      let a = Array.of_list xs in
-      let fa = Flat.Int.of_int_array a in
-      Flat.Int.sort fa;
-      let expect = Array.copy a in
-      Array.sort compare expect;
-      Flat.Int.is_sorted fa && Flat.Int.to_int_array fa = expect)
-
-let test_flat_int_split_merge () =
-  let a = Array.init 101 (fun i -> i * 31 mod 97) in
-  let fa = Flat.Int.of_int_array a in
-  Flat.Int.sort fa;
-  let sorted = Flat.Int.to_int_array fa in
-  Alcotest.(check bool) "sorted" true (Flat.Int.is_sorted fa);
-  (match Flat.Int.midvalue fa with
-  | None -> Alcotest.fail "midvalue on non-empty chunk"
-  | Some m -> Alcotest.(check int) "midvalue = middle slot" sorted.(101 / 2) m);
-  Alcotest.(check bool) "midvalue empty" true
-    (Flat.Int.midvalue (Flat.Int.of_int_array [||]) = None);
-  List.iter
-    (fun pivot ->
-      let lo, hi = Flat.Int.split_at pivot fa in
-      Alcotest.(check int) "split lengths" 101 (Flat.length lo + Flat.length hi);
-      Alcotest.(check bool) "low side <= pivot" true
-        (Array.for_all (fun x -> x <= pivot) (Flat.Int.to_int_array lo));
-      Alcotest.(check bool) "high side > pivot" true
-        (Array.for_all (fun x -> x > pivot) (Flat.Int.to_int_array hi));
-      Alcotest.(check (array int)) "merge restores the chunk" sorted
-        (Flat.Int.to_int_array (Flat.Int.merge lo hi)))
-    [ -1; 0; 13; 48; 96; 200 ];
-  (* split_at halves are zero-copy views of the parent *)
-  let lo, _ = Flat.Int.split_at sorted.(50) fa in
-  let saved = Flat.get fa 0 in
-  Flat.set lo 0 (saved + 1);
-  Alcotest.(check int) "split halves alias parent" (saved + 1) (Flat.get fa 0);
-  Flat.set lo 0 saved
-
 (* --- Exec internals --------------------------------------------------------------- *)
 
 let test_chunk_bounds () =
@@ -1208,8 +1166,6 @@ let () =
           Alcotest.test_case "two-phase scan = prefix spec" `Quick test_flat_scan_two_phase_vs_spec;
           Alcotest.test_case "flat scan allocates fewer minor words" `Quick
             test_flat_scan_minor_words;
-          prop_flat_int_sort;
-          Alcotest.test_case "Flat.Int sort-family kernels" `Quick test_flat_int_split_merge;
         ] );
       ( "exec",
         [

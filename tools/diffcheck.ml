@@ -78,10 +78,12 @@
                             the host-flat legs: the unboxed Flat_exec
                             kernels (sequential and pool) vs the boxed
                             Scl skeletons, the Host_exec flat fast path
-                            vs the reference interpreter, and the
-                            flat-int hyperquicksort vs the boxed
-                            simulator program — all bitwise, on dyadic
-                            data.
+                            vs the reference interpreter — all
+                            bitwise, on dyadic data.  And the sort
+                            kernel: Seq_kernels.quicksort vs Array.sort
+                            on full-range keys (both signs, min_int and
+                            max_int, top-digit-only keys, heavy
+                            duplicates).
 
    Workload parameters in phases 5–7 (input lengths, value bounds, matrix
    sizes, chaos probabilities, crash points) are derived from the case
@@ -694,10 +696,9 @@ let () =
             (r0.Algorithms.Cg.iterations, r0.Algorithms.Cg.solution)
             (r1.Algorithms.Cg.iterations, r1.Algorithms.Cg.solution));
       (* host-flat legs: the unboxed Flat_exec kernels (sequential and
-         pool) against the boxed Scl skeletons, the Host_exec flat fast
-         path against the reference interpreter, and the flat-int
-         hyperquicksort against the boxed simulator program.  Dyadic data
-         keeps parallel fadd reassociation exact, so every comparison is
+         pool) against the boxed Scl skeletons, and the Host_exec flat
+         fast path against the reference interpreter.  Dyadic data keeps
+         parallel fadd reassociation exact, so every comparison is
          bitwise. *)
       let fn = 1 + Runtime.Xoshiro.int shape 64 in
       let fdata =
@@ -765,15 +766,27 @@ let () =
               else if not (Transform.Value.equal expected host_pool) then
                 Some "host flat (pool) differs from reference"
               else None));
+      (* the radix sort behind SEQ_QUICKSORT on full-range keys: random
+         63-bit draws of either sign, keys that differ only in the top
+         digit (bits 56-62, sign bit included), and heavy duplicates of
+         min_int, max_int, 0 and +-1 *)
+      let sn = Runtime.Xoshiro.int shape 2048 in
       add
-        (Printf.sprintf "hyperquicksort flatint=boxed sim p=4 seed=%d" case_seed)
+        (Printf.sprintf "seq_kernels sort = Array.sort n=%d seed=%d" sn case_seed)
         (fun () ->
+          let dups = [| min_int; max_int; 0; -1; 1 |] in
           let sdata =
-            Array.init (64 + Runtime.Xoshiro.int rng 192) (fun _ -> Runtime.Xoshiro.int rng 10_000)
+            Array.init sn (fun _ ->
+                match Runtime.Xoshiro.int rng 3 with
+                | 0 -> Int64.to_int (Runtime.Xoshiro.next_int64 rng)
+                | 1 -> Runtime.Xoshiro.int rng 128 lsl 56
+                | _ -> dups.(Runtime.Xoshiro.int rng (Array.length dups)))
           in
-          let r0, _ = Algorithms.Hyperquicksort.sort_sim ~procs:4 sdata in
-          let r1, _ = Algorithms.Hyperquicksort.sort_sim_flatint ~procs:4 sdata in
-          if r0 <> r1 then Some "flat-int sort differs from boxed" else None)
+          let expect = Array.copy sdata in
+          Array.sort compare expect;
+          if Algorithms.Seq_kernels.quicksort sdata <> expect then
+            Some "Seq_kernels.quicksort differs from Array.sort"
+          else None)
     done;
     report_checks ~phase:"flat-vs-boxed solvers" (List.rev !cases)
     end

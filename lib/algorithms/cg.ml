@@ -165,94 +165,6 @@ let solve_multicore ?domains ?(tol = 1e-10) ?(max_iter = 10_000) ~procs (b : flo
   Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
       cg_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
 
-(* --- flat-tier version ----------------------------------------------------------
-   The same distributed CG over unboxed [Scl.Flat] chunks, with the halo
-   endpoints of the direction vector travelling as 1-element bulk slices.
-   Identical block geometry, local summation order, and allreduce shape as
-   [cg_program], so every dot product — and hence every iterate — is
-   bitwise-identical to the boxed oracle at the same [procs].
-
-   Zero-copy discipline: [matvec] sends windows of [p], which IS mutated
-   later in the iteration — but only after the [ddot p ap] allreduce,
-   which the receiver can only complete after reading its halo, so the
-   mutation is causally after the read on both engines. *)
-
-let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option) (comm : Comm.t)
-    : result option =
-  let me = Comm.rank comm in
-  let bv = Scl_sim.Fvec.scatter comm ~root:0 (Option.map Scl.Flat.of_float_array b) in
-  let n = Scl_sim.Fvec.total bv in
-  let bl = Scl_sim.Fvec.local bv in
-  let ln = Scl.Flat.length bl in
-  let off = Scl_sim.Fvec.offset bv in
-  let has_left = off > 0 and has_right = off + ln < n in
-  let ddot a b =
-    Comm.work_flops comm (2 * max 1 ln);
-    let s = ref 0.0 in
-    for i = 0 to ln - 1 do
-      s := !s +. (Scl.Flat.get a i *. Scl.Flat.get b i)
-    done;
-    Comm.allreduce comm ( +. ) !s
-  in
-  let matvec (p : Scl.Flat.float1) : Scl.Flat.float1 =
-    let hl = ref 0.0 and hr = ref 0.0 in
-    if ln > 0 then begin
-      if has_left then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view p ~pos:0 ~len:1);
-      if has_right then
-        Comm.send_slice comm ~dest:(me + 1) (Scl.Flat.sub_view p ~pos:(ln - 1) ~len:1);
-      if has_left then hl := Scl.Flat.get (Comm.recv_slice comm ~src:(me - 1) ()) 0;
-      if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) ()) 0
-    end;
-    Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
-    Scl.Flat.init Scl.Flat.float64 ln (fun i ->
-        let left = if i > 0 then Scl.Flat.get p (i - 1) else if has_left then !hl else 0.0 in
-        let right =
-          if i < ln - 1 then Scl.Flat.get p (i + 1) else if has_right then !hr else 0.0
-        in
-        (2.0 *. Scl.Flat.get p i) -. left -. right)
-  in
-  let x = Scl.Flat.make Scl.Flat.float64 ln 0.0 in
-  let r = Scl.Flat.copy bl in
-  let p = Scl.Flat.copy bl in
-  let rr = ref (ddot r r) in
-  let it = ref 0 in
-  while sqrt !rr >= tol && !it < max_iter do
-    let ap = matvec p in
-    let alpha = !rr /. ddot p ap in
-    Comm.work_flops comm (4 * max 1 ln);
-    for i = 0 to ln - 1 do
-      Scl.Flat.set x i (Scl.Flat.get x i +. (alpha *. Scl.Flat.get p i));
-      Scl.Flat.set r i (Scl.Flat.get r i -. (alpha *. Scl.Flat.get ap i))
-    done;
-    let rr' = ddot r r in
-    let beta = rr' /. !rr in
-    Comm.work_flops comm (2 * max 1 ln);
-    for i = 0 to ln - 1 do
-      Scl.Flat.set p i (Scl.Flat.get r i +. (beta *. Scl.Flat.get p i))
-    done;
-    rr := rr';
-    incr it
-  done;
-  let gathered = Scl_sim.Fvec.gather ~root:0 (Scl_sim.Fvec.of_local comm x) in
-  Option.map
-    (fun solution ->
-      {
-        solution = Scl.Flat.to_float_array solution;
-        iterations = !it;
-        residual_norm = sqrt !rr;
-      })
-    gathered
-
-let solve_sim_flat ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-10) ?(max_iter = 10_000) ~procs
-    (b : float array) : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      cg_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
-
-let solve_multicore_flat ?domains ?(tol = 1e-10) ?(max_iter = 10_000) ~procs (b : float array) :
-    result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      cg_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
-
 (* The residual check used by tests. *)
 let residual_inf (x : float array) (b : float array) : float =
   let ax = laplacian_matvec x in

@@ -30,26 +30,3 @@ val solve_multicore :
 val laplacian_matvec : float array -> float array
 val residual_inf : float array -> float array -> float
 (** max |A x − b| for the Laplacian system. *)
-
-(** {1 Flat tier}
-
-    The same distributed CG over unboxed [Scl.Flat] chunks with bulk-slice
-    halos. Identical block geometry and reduction shape to the boxed
-    variants, so iterates are bitwise-identical at the same [procs]. *)
-
-val solve_sim_flat :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  result * Sim.stats
-
-val solve_multicore_flat :
-  ?domains:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  result * Multicore.stats

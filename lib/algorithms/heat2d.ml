@@ -187,118 +187,6 @@ let solve_multicore ?domains ?(tol = 1e-7) ?(max_iter = 50_000) ~procs (f : floa
   Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
       heat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
 
-(* --- flat-tier version: row bands over an unboxed grid -------------------------
-   The n x n grid flattened row-major into one [Scl.Flat] array, block-
-   distributed by ROWS.  A band's halo is a whole contiguous row, so each
-   sweep sends exactly ONE bulk message per neighbour (2 per member) —
-   versus the Dmat rendering's 4 edge messages per block, two of which
-   are strided column copies.  The stencil is a pure per-element function
-   of the old grid with the same float expression order as [heat_program],
-   and the residual is an exact [Float.max] — so solutions and iteration
-   counts are bitwise-identical to the Dmat oracle whatever the
-   decomposition. *)
-
-let heat_flat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array option) ~n
-    (comm : Comm.t) : result option =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let b = Scl_sim.Fvec.block_bounds ~total:n ~parts:p in
-  let r0 = b.(me) and r1 = b.(me + 1) in
-  let nr = r1 - r0 in
-  (* Scatter by rows: one bulk band per member (row-aligned, so the element
-     scatter's geometry does not apply). *)
-  let fl =
-    if me = 0 then begin
-      let f = match f with Some f -> f | None -> invalid_arg "Heat2d: root must supply f" in
-      let whole = Scl.Flat.init Scl.Flat.float64 (n * n) (fun g -> f.(g / n).(g mod n)) in
-      for dest = 1 to p - 1 do
-        Comm.send_slice comm ~dest
-          (Scl.Flat.sub_view whole ~pos:(b.(dest) * n) ~len:((b.(dest + 1) - b.(dest)) * n))
-      done;
-      Scl.Flat.copy (Scl.Flat.sub_view whole ~pos:0 ~len:(b.(1) * n))
-    end
-    else Scl.Flat.copy (Comm.recv_slice comm ~src:0 ())
-  in
-  let hh = h2 n in
-  let has_up = r0 > 0 and has_down = r1 < n in
-  let empty_row = Scl.Flat.create Scl.Flat.float64 0 in
-  let step _i (u : Scl.Flat.float1) =
-    let hn = ref empty_row and hs = ref empty_row in
-    if nr > 0 then begin
-      (* whole-row halos: one coalesced message per neighbour; [u] is
-         never mutated, so the zero-copy windows stay valid *)
-      if has_up then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view u ~pos:0 ~len:n);
-      if has_down then
-        Comm.send_slice comm ~dest:(me + 1) (Scl.Flat.sub_view u ~pos:((nr - 1) * n) ~len:n);
-      if has_up then hn := Comm.recv_slice comm ~src:(me - 1) ();
-      if has_down then hs := Comm.recv_slice comm ~src:(me + 1) ()
-    end;
-    Comm.work_flops comm (Scl_sim.Kernels.stencil_flops (nr * n));
-    let next = Scl.Flat.create Scl.Flat.float64 (nr * n) in
-    let d = ref 0.0 in
-    for x = 0 to nr - 1 do
-      for y = 0 to n - 1 do
-        let north =
-          if x > 0 then Scl.Flat.get u (((x - 1) * n) + y)
-          else if has_up then Scl.Flat.get !hn y
-          else 0.0
-        in
-        let south =
-          if x < nr - 1 then Scl.Flat.get u (((x + 1) * n) + y)
-          else if has_down then Scl.Flat.get !hs y
-          else 0.0
-        in
-        let west = if y > 0 then Scl.Flat.get u ((x * n) + y - 1) else 0.0 in
-        let east = if y < n - 1 then Scl.Flat.get u ((x * n) + y + 1) else 0.0 in
-        let v =
-          0.25 *. (north +. south +. west +. east +. (hh *. Scl.Flat.get fl ((x * n) + y)))
-        in
-        Scl.Flat.set next ((x * n) + y) v;
-        d := Float.max !d (Float.abs (v -. Scl.Flat.get u ((x * n) + y)))
-      done
-    done;
-    (next, !d)
-  in
-  let conv =
-    if n = 0 then
-      {
-        Scl_sim.Control.state = Scl.Flat.create Scl.Flat.float64 0;
-        iterations = 0;
-        final_residual = 0.0;
-      }
-    else
-      Scl_sim.Control.iter_until_conv comm ~max_iter ~tol ~step
-        (Scl.Flat.make Scl.Flat.float64 (nr * n) 0.0)
-  in
-  match Comm.gather_slice comm ~root:0 conv.state with
-  | Some whole ->
-      Some
-        {
-          solution = Array.init n (fun i -> Array.init n (fun j -> Scl.Flat.get whole ((i * n) + j)));
-          iterations = conv.iterations;
-          final_diff = conv.final_residual;
-        }
-  | None -> None
-
-let solve_sim_flat ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-7) ?(max_iter = 50_000) ~procs
-    (f : float array array) : result * Sim.stats =
-  let n = Array.length f in
-  Array.iter
-    (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve_sim_flat: non-square grid")
-    f;
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      heat_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
-
-let solve_multicore_flat ?domains ?(tol = 1e-7) ?(max_iter = 50_000) ~procs
-    (f : float array array) : result * Multicore.stats =
-  let n = Array.length f in
-  Array.iter
-    (fun r ->
-      if Array.length r <> n then invalid_arg "Heat2d.solve_multicore_flat: non-square grid")
-    f;
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      heat_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
-
 (* Manufactured solution used by the tests: f = 2 pi^2 sin(pi x) sin(pi y)
    gives u = sin(pi x) sin(pi y). *)
 let manufactured_f n =

@@ -39,28 +39,3 @@ val manufactured_f : int -> float array array
 
 val manufactured_u : int -> int -> int -> float
 (** u(i,j) = sin(πx_i) sin(πy_j). *)
-
-(** {1 Flat tier}
-
-    Row-band decomposition of the grid flattened into unboxed [Scl.Flat]
-    storage: each sweep's halo is ONE whole-row bulk message per
-    neighbour (versus four strided edge messages per block on the Dmat
-    path). Solutions and iteration counts are bitwise-identical to the
-    boxed variants. Works for any [procs] (not just perfect squares). *)
-
-val solve_sim_flat :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array array ->
-  result * Sim.stats
-
-val solve_multicore_flat :
-  ?domains:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array array ->
-  result * Multicore.stats

@@ -157,75 +157,3 @@ let solve_multicore ?domains ?(tol = 1e-8) ?(max_iter = 100_000) ~procs (f : flo
     ~left ~right : result * Multicore.stats =
   Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
       jacobi_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~left ~right comm)
-
-(* --- flat-tier version ---------------------------------------------------------
-   The same SPMD program over unboxed [Scl.Flat] chunks: halos travel as
-   1-element bulk slices (zero-copy windows on the multicore engine,
-   8-byte priced messages on the simulator), and the chunk itself is
-   GC-invisible Bigarray storage.  Every float expression mirrors
-   [jacobi_program] exactly — same block geometry, same stencil order,
-   same [Float.max] residual — so solutions and iteration counts are
-   bitwise-identical to the boxed oracle on either engine. *)
-
-let jacobi_flat_program ?(tol = 1e-8) ?(max_iter = 100_000) (f : float array option) ~left
-    ~right (comm : Comm.t) : result option =
-  let me = Comm.rank comm in
-  let fv = Scl_sim.Fvec.scatter comm ~root:0 (Option.map Flat.of_float_array f) in
-  let n = Scl_sim.Fvec.total fv in
-  let hh = h2 n in
-  let floc = Scl_sim.Fvec.local fv in
-  let ln = Flat.length floc in
-  let has_left = Scl_sim.Fvec.offset fv > 0 in
-  let has_right = Scl_sim.Fvec.offset fv + ln < n in
-  let step _i (u : Flat.float1) =
-    let hl = ref left and hr = ref right in
-    if ln > 0 then begin
-      (* [u] is never mutated (each sweep builds a fresh buffer), so the
-         zero-copy windows stay valid for the receiver's read *)
-      if has_left then Comm.send_slice comm ~dest:(me - 1) (Flat.sub_view u ~pos:0 ~len:1);
-      if has_right then
-        Comm.send_slice comm ~dest:(me + 1) (Flat.sub_view u ~pos:(ln - 1) ~len:1);
-      if has_left then hl := Flat.get (Comm.recv_slice comm ~src:(me - 1) ()) 0;
-      if has_right then hr := Flat.get (Comm.recv_slice comm ~src:(me + 1) ()) 0
-    end;
-    Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
-    let next =
-      Flat.init Flat.float64 ln (fun j ->
-          let lo = if j > 0 then Flat.get u (j - 1) else !hl in
-          let hi = if j < ln - 1 then Flat.get u (j + 1) else !hr in
-          0.5 *. (lo +. hi +. (hh *. Flat.get floc j)))
-    in
-    let d = ref 0.0 in
-    for j = 0 to ln - 1 do
-      d := Float.max !d (Float.abs (Flat.get next j -. Flat.get u j))
-    done;
-    (next, !d)
-  in
-  let conv =
-    if n = 0 then
-      { Scl_sim.Control.state = Flat.create Flat.float64 0; iterations = 0; final_residual = 0.0 }
-    else Scl_sim.Control.iter_until_conv comm ~max_iter ~tol ~step (Flat.make Flat.float64 ln 0.0)
-  in
-  let gathered = Scl_sim.Fvec.gather ~root:0 (Scl_sim.Fvec.of_local comm conv.state) in
-  Option.map
-    (fun solution ->
-      {
-        solution = Flat.to_float_array solution;
-        iterations = conv.iterations;
-        final_diff = conv.final_residual;
-      })
-    gathered
-
-let solve_sim_flat ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-8) ?(max_iter = 100_000)
-    ~procs (f : float array) ~left ~right : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      jacobi_flat_program ~tol ~max_iter
-        (if Comm.rank comm = 0 then Some f else None)
-        ~left ~right comm)
-
-let solve_multicore_flat ?domains ?(tol = 1e-8) ?(max_iter = 100_000) ~procs (f : float array)
-    ~left ~right : result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      jacobi_flat_program ~tol ~max_iter
-        (if Comm.rank comm = 0 then Some f else None)
-        ~left ~right comm)

@@ -47,31 +47,3 @@ val solve_sim :
   result * Sim.stats
 (** Simulator rendering: neighbour halo messages per sweep plus an
     allreduce of the residual — the latency-bound regime. *)
-
-(** {1 Flat tier}
-
-    The same SPMD program over unboxed [Scl.Flat] chunks: halos travel as
-    bulk slices (zero-copy on the multicore engine, bytes-priced on the
-    simulator). Solutions and iteration counts are bitwise-identical to
-    the boxed variants — the boxed path is the differential oracle. *)
-
-val solve_sim_flat :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  left:float ->
-  right:float ->
-  result * Sim.stats
-
-val solve_multicore_flat :
-  ?domains:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  left:float ->
-  right:float ->
-  result * Multicore.stats

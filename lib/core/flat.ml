@@ -4,9 +4,9 @@
    A [Flat.t] is a C-layout [Bigarray.Array1] window.  Bigarray storage
    lives outside the OCaml heap, so a flat value is never scanned by the
    GC, [sub_view] is an O(1) header allocation sharing the same storage
-   (the configuration-skeleton fast path, like [Par_array.sub_view]), and
-   the machine layer can move a view between ranks as one bulk message
-   without marshalling ([Engine.send_slice]).
+   (the configuration-skeleton fast path, like [Par_array.sub_view]).
+   Flat values are a host-tier representation: SPMD programs exchange
+   plain [float array]s, which OCaml already stores unboxed.
 
    The partition fast paths mirror [Partition.apply]/[unapply] exactly:
    Block parts are copy-free sub-views; Cyclic and Block_cyclic are

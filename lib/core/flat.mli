@@ -3,9 +3,9 @@
 
     A [Flat.t] is a C-layout [Bigarray.Array1] window: storage lives
     outside the OCaml heap (never scanned by the GC), {!sub_view} is an
-    O(1) copy-free window onto the same storage, and the machine layer can
-    send a view between ranks as one bulk message without marshalling
-    ([Engine.send_slice]).
+    O(1) copy-free window onto the same storage. This is the host-kernel
+    tier ({!Flat_exec}); SPMD programs exchange plain [float array]s,
+    which OCaml already stores unboxed.
 
     Views alias: mutating a view mutates the base. The skeleton-level
     discipline is the same as [Par_array]'s [unsafe_*] contract — once a

@@ -175,29 +175,6 @@ let wrap spec (eng : Engine.t) : Engine.t * state =
             flush_channel st dest tag;
             fire ()
           end);
-      send_slice =
-        (fun ~dest ~tag s ->
-          (* bulk sends are one message, so they are held/released exactly
-             like ordinary sends — the fault model is per-message, and the
-             coalescing invariant (one bulk send = one message) holds under
-             perturbation too *)
-          tick st;
-          let fire () = eng.Engine.send_slice ~dest ~tag s in
-          if st.spec.delay_prob > 0.0 && Runtime.Xoshiro.float st.rng 1.0 < st.spec.delay_prob
-          then begin
-            Obs.Counter.incr obs_faults;
-            let hold = 1 + Runtime.Xoshiro.int st.rng st.spec.max_hold in
-            st.outbox <- st.outbox @ [ { h_dest = dest; h_tag = tag; h_fire = fire; h_left = hold } ]
-          end
-          else begin
-            flush_channel st dest tag;
-            fire ()
-          end);
-      recv_slice =
-        (fun ?timeout ~src ~tag () ->
-          tick st;
-          flush_all st;
-          eng.Engine.recv_slice ?timeout ~src ~tag ());
       recv =
         (fun ?timeout ~src ~tag () ->
           tick st;

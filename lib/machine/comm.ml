@@ -42,7 +42,6 @@ and opcode_alltoall = 5
 and opcode_scan = 6
 and opcode_split = 7
 and opcode_sendrecv = 8
-and opcode_slice = 9
 
 let world eng =
   let n = eng.Engine.size in
@@ -343,107 +342,3 @@ let exchange t ~partner ?tag v =
      deadlock-free because sends never block on either engine. *)
   send t ~dest:partner ?tag v;
   recv t ~src:partner ?tag ()
-
-(* --- bulk slice tier ----------------------------------------------------
-   Typed unboxed-float counterparts of the point-to-point operations and
-   the data-movement collectives, built on [Engine.send_slice]: every call
-   below moves each hop's worth of data as exactly ONE message, however
-   long the slice — this is the coalescing contract the halo-exchange and
-   rotate optimisations build on.  Slice traffic shares the ordinary tag
-   spaces, so slice and boxed messages on the same (src, tag) channel keep
-   their relative order; a channel must still carry one payload type at a
-   time (the usual recv typing discipline). *)
-
-let send_slice t ~dest ?tag s =
-  if dest < 0 || dest >= size t then invalid_arg "Comm.send_slice: bad destination";
-  t.eng.Engine.send_slice ~dest:t.ranks.(dest) ~tag:(p2p_tag tag) s
-
-let recv_slice t ~src ?tag ?timeout () =
-  if src < 0 || src >= size t then invalid_arg "Comm.recv_slice: bad source";
-  t.eng.Engine.recv_slice ?timeout ~src:t.ranks.(src) ~tag:(p2p_tag tag) ()
-
-let send_slice_i t ~tag dst_index s = t.eng.Engine.send_slice ~dest:t.ranks.(dst_index) ~tag s
-let recv_slice_i t ~tag src_index = t.eng.Engine.recv_slice ~src:t.ranks.(src_index) ~tag ()
-
-(* Block decomposition geometry shared with the scl_sim distributed
-   vectors: member k of m holds [bounds.(k), bounds.(k+1)) of a length-n
-   vector, sizes n/m rounded up for the first n mod m members. *)
-let block_bounds ~total ~parts =
-  let q = total / parts and r = total mod parts in
-  Array.init (parts + 1) (fun k -> (k * q) + min k r)
-
-let sub1 s pos len = Bigarray.Array1.sub s pos len
-let dim1 s = Bigarray.Array1.dim s
-
-let bcast_slice t ~root (v : Engine.slice option) : Engine.slice =
-  (* binomial tree, same shape as [bcast]; each hop forwards the whole
-     slice as one bulk message *)
-  let m = size t in
-  if root < 0 || root >= m then invalid_arg "Comm.bcast_slice: bad root";
-  let tag = fresh_tag t opcode_slice in
-  let vr = vrank t ~root in
-  let value = ref v in
-  if vr = 0 && !value = None then invalid_arg "Comm.bcast_slice: root must supply a value";
-  let mask = ref 1 in
-  while !mask < m do
-    let mk = !mask in
-    if vr >= mk && vr < 2 * mk && !value = None then
-      value := Some (recv_slice_i t ~tag (unvrank t ~root (vr - mk)));
-    if vr < mk && vr + mk < m then
-      send_slice_i t ~tag (unvrank t ~root (vr + mk)) (Option.get !value);
-    mask := mk lsl 1
-  done;
-  match !value with Some v -> v | None -> assert false
-
-let scatter_slice t ~root (s : Engine.slice option) : Engine.slice =
-  (* Flat tree: the root sends each member its block as one direct message
-     (m-1 messages total, zero-copy sub-views of the root's storage on the
-     multicore engine).  A binomial tree would route segments through
-     intermediaries — more total bytes on the wire for bulk payloads. *)
-  let m = size t in
-  if root < 0 || root >= m then invalid_arg "Comm.scatter_slice: bad root";
-  let tag = fresh_tag t opcode_slice in
-  if t.my_index = root then begin
-    let s =
-      match s with Some s -> s | None -> invalid_arg "Comm.scatter_slice: root must supply a slice"
-    in
-    let b = block_bounds ~total:(dim1 s) ~parts:m in
-    for i = 0 to m - 1 do
-      if i <> root then send_slice_i t ~tag i (sub1 s b.(i) (b.(i + 1) - b.(i)))
-    done;
-    sub1 s b.(root) (b.(root + 1) - b.(root))
-  end
-  else recv_slice_i t ~tag root
-
-let gather_slice t ~root (local : Engine.slice) : Engine.slice option =
-  (* Mirror of [scatter_slice]: one direct message per non-root member;
-     the root concatenates in rank order (members may hold blocks of any
-     length — the root derives offsets from the received lengths). *)
-  let m = size t in
-  if root < 0 || root >= m then invalid_arg "Comm.gather_slice: bad root";
-  let tag = fresh_tag t opcode_slice in
-  if t.my_index = root then begin
-    let parts = Array.make m local in
-    for i = 0 to m - 1 do
-      if i <> root then parts.(i) <- recv_slice_i t ~tag i
-    done;
-    let total = Array.fold_left (fun acc s -> acc + dim1 s) 0 parts in
-    let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total in
-    let off = ref 0 in
-    Array.iter
-      (fun s ->
-        let n = dim1 s in
-        Bigarray.Array1.blit s (sub1 out !off n);
-        off := !off + n)
-      parts;
-    Some out
-  end
-  else begin
-    send_slice_i t ~tag root local;
-    None
-  end
-
-let allgather_slice t (local : Engine.slice) : Engine.slice =
-  match gather_slice t ~root:0 local with
-  | Some all -> bcast_slice t ~root:0 (Some all)
-  | None -> bcast_slice t ~root:0 None

@@ -113,43 +113,6 @@ val recv_any : t -> ?tag:int -> ?timeout:float -> unit -> int * 'a
 val exchange : t -> partner:int -> ?tag:int -> 'a -> 'a
 (** Symmetric send-then-receive with [partner]; deadlock-free. *)
 
-(** {1 Bulk slice tier}
-
-    Typed unboxed-float ({!Engine.slice}) counterparts of the
-    point-to-point operations and the data-movement collectives. Each hop
-    moves its whole payload as exactly one message, however long the slice
-    — the coalescing contract halo exchange and rotate build on. On the
-    multicore engine payloads travel zero-copy (received slices alias the
-    sender's storage: treat them as read-only, and do not mutate a sent
-    window until a synchronising exchange); the simulator prices each hop
-    as one message of [8 * length] payload bytes. Slice and boxed traffic
-    on the same (source, tag) channel keep their relative order, but one
-    channel must carry one payload type at a time. *)
-
-val send_slice : t -> dest:int -> ?tag:int -> Engine.slice -> unit
-
-val recv_slice : t -> src:int -> ?tag:int -> ?timeout:float -> unit -> Engine.slice
-(** FIFO per (source, tag); [?timeout] as in {!recv}. *)
-
-val bcast_slice : t -> root:int -> Engine.slice option -> Engine.slice
-(** Binomial broadcast of a slice; each hop forwards the whole slice as one
-    bulk message. *)
-
-val scatter_slice : t -> root:int -> Engine.slice option -> Engine.slice
-(** Block-decompose the root's slice over the group: member [k] of [m]
-    receives elements [[k*q + min k r, …)] where [q = n/m], [r = n mod m]
-    (the same geometry as the distributed vectors). Flat tree: exactly one
-    direct message per non-root member; on the multicore engine each block
-    is a zero-copy sub-view of the root's storage. *)
-
-val gather_slice : t -> root:int -> Engine.slice -> Engine.slice option
-(** Inverse of {!scatter_slice}: concatenates members' slices in rank
-    order at the root (lengths may vary; offsets are derived from the
-    received lengths). One direct message per non-root member. *)
-
-val allgather_slice : t -> Engine.slice -> Engine.slice
-(** {!gather_slice} to member 0 followed by {!bcast_slice}. *)
-
 (** {1 Internals exposed for tests} *)
 
 val unsafe_set_seq : t -> int -> unit

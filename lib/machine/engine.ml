@@ -36,17 +36,6 @@
      [real_time] says which: fault injectors (Chaos) use it to decide
      whether a straggler stall must burn wall time or simulated time. *)
 
-(* The typed bulk tier: an unboxed float slice (C-layout Bigarray window).
-   [send_slice]/[recv_slice] carry exactly one message per call whatever
-   the slice length — the engine-level contract message coalescing builds
-   on.  The multicore engine passes the window zero-copy through shared
-   memory (no serialisation); the simulator prices it as a single message
-   of [8 * length] bytes (payload bytes, no marshalling framing) while
-   keeping its value-semantics deep copy.  Senders on a real engine must
-   not mutate the window until a synchronising exchange with the receiver
-   (the usual MPI buffer-reuse discipline; a collective suffices). *)
-type slice = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t = {
   rank : int;
   size : int;
@@ -56,8 +45,6 @@ type t = {
   send : 'a. dest:int -> tag:int -> 'a -> unit;
   recv : 'a. ?timeout:float -> src:int -> tag:int -> unit -> 'a;
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;
-  send_slice : dest:int -> tag:int -> slice -> unit;
-  recv_slice : ?timeout:float -> src:int -> tag:int -> unit -> slice;
   work : float -> unit;
   sleep : float -> unit;
   time : unit -> float;
@@ -76,17 +63,6 @@ let of_sim (ctx : Sim.ctx) : t =
     send = (fun ~dest ~tag v -> Sim.send ctx ~dest ~tag v);
     recv = (fun ?timeout ~src ~tag () -> Sim.recv ctx ~src ~tag ?timeout ());
     recv_any = (fun ?timeout ?tag () -> Sim.recv_any ctx ?tag ?timeout ());
-    send_slice =
-      (fun ~dest ~tag s ->
-        (* One message priced at the payload's true unboxed size.  The copy
-           keeps the simulator's value semantics (a sim sender may reuse its
-           buffer immediately, unlike on real engines) — [~bytes] already
-           skips the marshalling cost model would otherwise charge. *)
-        let n = Bigarray.Array1.dim s in
-        let c = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-        Bigarray.Array1.blit s c;
-        Sim.send ctx ~dest ~tag ~bytes:(8 * n) c);
-    recv_slice = (fun ?timeout ~src ~tag () -> Sim.recv ctx ~src ~tag ?timeout ());
     work = (fun d -> Sim.work ctx d);
     sleep = (fun d -> Sim.sleep ctx d);
     time = (fun () -> Sim.time ctx);

@@ -1,15 +1,11 @@
 (** Execution-engine vtable: the primitives an SPMD program (and the
     [Comm] collectives) may use, abstracted over the execution medium.
 
-    Two instances exist: {!of_sim} (discrete-event simulator, [work]
-    charges simulated time) and [Multicore.engine] (one OCaml domain per
-    hardware core, zero-copy shared-memory messaging, [work] is a no-op).
-    Programs written against [Comm.t] run unchanged on both. *)
-
-type slice = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The typed bulk-payload tier: an unboxed float window (C-layout
-    [Bigarray.Array1]). One {!t.send_slice} is always exactly one message,
-    whatever the length — the contract message coalescing builds on. *)
+    Instances: {!of_sim} (discrete-event simulator, [work] charges
+    simulated time), [Multicore] (OCaml domains, zero-copy shared-memory
+    messaging, [work] is a no-op) and [Procs] (forked processes,
+    marshalled frames); [Chaos] wraps any of them. Programs written
+    against [Comm.t] run unchanged on all of them. *)
 
 type t = {
   rank : int;  (** this virtual processor's machine-global rank *)
@@ -30,18 +26,6 @@ type t = {
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;
       (** Blocking receive from any source; returns (source rank, value).
           Deterministic only on the simulator. [?timeout] as in [recv]. *)
-  send_slice : dest:int -> tag:int -> slice -> unit;
-      (** Typed bulk send: one message carrying an unboxed float window.
-          The multicore engine passes the window zero-copy through shared
-          memory (no serialisation) — the sender must not mutate it until a
-          synchronising exchange with the receiver (a collective suffices).
-          The simulator prices it as a single message of [8 * length]
-          payload bytes (no marshalling framing) and keeps its deep-copy
-          value semantics. *)
-  recv_slice : ?timeout:float -> src:int -> tag:int -> unit -> slice;
-      (** Receive a bulk slice; FIFO per (source, tag) with ordinary sends
-          on the same channel. On the multicore engine the result aliases
-          the sender's storage — treat it as read-only. *)
   work : float -> unit;  (** Charge compute seconds (no-op on real engines). *)
   sleep : float -> unit;
       (** Idle for [d] engine-clock seconds: the clock advances but no

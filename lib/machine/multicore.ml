@@ -377,21 +377,6 @@ let engine fab st : Engine.t =
         st.received <- st.received + 1;
         Obs.Counter.incr obs_recvs;
         (st.last_src, Obj.obj pay));
-    send_slice =
-      (fun ~dest ~tag s ->
-        (* the window travels by reference through shared memory — zero
-           copy, no serialisation; one message whatever the length *)
-        send fab st ~dest ~tag s);
-    recv_slice =
-      (fun ?timeout ~src ~tag () ->
-        if src < 0 || src >= fab.procs then
-          invalid_arg
-            (Printf.sprintf "Multicore.recv_slice: rank %d out of range [0,%d)" src fab.procs);
-        let deadline = deadline_of fab "recv_slice" timeout in
-        let pay = recv_packet fab st ~src ~tag ~any_tag:false ~deadline in
-        st.received <- st.received + 1;
-        Obs.Counter.incr obs_recvs;
-        (Obj.obj pay : Engine.slice));
     work = (fun d -> if d < 0.0 then invalid_arg "Multicore.work: negative duration");
     sleep =
       (fun d ->

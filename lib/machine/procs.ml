@@ -9,15 +9,12 @@
      +------+----------------+----------------+----------------------+
 
      kind 0  marshal   len = payload bytes; payload = [Marshal] image
-     kind 1  slice     len = float64 count; payload = 8*len raw bytes
-     kind 2  goodbye   len = 0; clean-finish marker, no payload
+     kind 1  goodbye   len = 0; clean-finish marker, no payload
 
    The source rank is implicit (one socket per peer), so a frame is
    exactly one message and the per-(src,tag) FIFO contract falls out of
    TCP-like stream ordering: same-channel messages share a socket and a
-   parse order.  [send_slice] writes the raw float image — no
-   marshalling framing — so one bulk send stays one frame, the
-   coalescing invariant the flat tier builds on.
+   parse order.
 
    Sends never block: frames queue in user space and drain through
    non-blocking writes whenever [select] says the peer can take more
@@ -66,33 +63,16 @@ let default_topology procs =
 
 let header_len = 17
 let k_marshal = 0
-let k_slice = 1
-let k_goodbye = 2
+let k_goodbye = 1
 
 let make_frame kind tag payload =
   let n = Bytes.length payload in
   let b = Bytes.create (header_len + n) in
   Bytes.set b 0 (Char.chr kind);
   Bytes.set_int64_le b 1 (Int64.of_int tag);
-  Bytes.set_int64_le b 9 (Int64.of_int (if kind = k_slice then n / 8 else n));
+  Bytes.set_int64_le b 9 (Int64.of_int n);
   Bytes.blit payload 0 b header_len n;
   b
-
-let encode_slice (s : Engine.slice) =
-  let len = Bigarray.Array1.dim s in
-  let b = Bytes.create (8 * len) in
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (Bigarray.Array1.unsafe_get s i))
-  done;
-  b
-
-let decode_slice payload : Engine.slice =
-  let len = Bytes.length payload / 8 in
-  let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set a i (Int64.float_of_bits (Bytes.get_int64_le payload (8 * i)))
-  done;
-  a
 
 (* -------------------------------------------------------------- child state *)
 
@@ -111,7 +91,7 @@ type peer = {
 (* A parsed, not-yet-received message.  One queue in arrival order across
    all peers: [recv_any] takes the globally oldest match, directed [recv]
    the oldest on its channel — FIFO per (src, tag) either way. *)
-type packet = { k_src : int; k_tag : int; k_kind : int; k_payload : bytes }
+type packet = { k_src : int; k_tag : int; k_payload : bytes }
 
 type cstate = {
   c_rank : int;
@@ -161,19 +141,17 @@ let parse_frames st peer =
        let kind = Char.code (Bytes.get peer.p_rbuf !pos) in
        let tag = Int64.to_int (Bytes.get_int64_le peer.p_rbuf (!pos + 1)) in
        let len = Int64.to_int (Bytes.get_int64_le peer.p_rbuf (!pos + 9)) in
-       let body = if kind = k_slice then 8 * len else len in
-       if peer.p_rlen - !pos - header_len < body then raise Exit;
+       if peer.p_rlen - !pos - header_len < len then raise Exit;
        if kind = k_goodbye then peer.p_fin <- true
        else
          Queue.add
            {
              k_src = peer.p_rank;
              k_tag = tag;
-             k_kind = kind;
-             k_payload = Bytes.sub peer.p_rbuf (!pos + header_len) body;
+             k_payload = Bytes.sub peer.p_rbuf (!pos + header_len) len;
            }
            st.pending;
-       pos := !pos + header_len + body
+       pos := !pos + header_len + len
      done
    with Exit -> ());
   if !pos > 0 then begin
@@ -313,10 +291,6 @@ let recv_packet st ~src ~tag ~any_tag ~deadline : packet =
   in
   loop ()
 
-let obj_of_packet pkt : Obj.t =
-  if pkt.k_kind = k_slice then Obj.repr (decode_slice pkt.k_payload)
-  else (Marshal.from_bytes pkt.k_payload 0 : Obj.t)
-
 (* ------------------------------------------------------------------ sending *)
 
 let enqueue peer frame =
@@ -345,13 +319,6 @@ let send_obj st ~dest ~tag v =
   in
   match st.peers.(dest) with
   | Some p -> enqueue p (make_frame k_marshal tag payload)
-  | None -> assert false
-
-let send_slice_to st ~dest ~tag s =
-  check_dest st "send_slice" dest;
-  st.c_sent <- st.c_sent + 1;
-  match st.peers.(dest) with
-  | Some p -> enqueue p (make_frame k_slice tag (encode_slice s))
   | None -> assert false
 
 (* ----------------------------------------------------------------- shutdown *)
@@ -430,22 +397,14 @@ let engine st cost topology : Engine.t =
         let deadline = deadline_of st "recv" timeout in
         let pkt = recv_packet st ~src ~tag ~any_tag:false ~deadline in
         st.c_recvd <- st.c_recvd + 1;
-        Obj.obj (obj_of_packet pkt));
+        Marshal.from_bytes pkt.k_payload 0);
     recv_any =
       (fun ?timeout ?tag () ->
         let deadline = deadline_of st "recv_any" timeout in
         let tag', any_tag = match tag with None -> (0, true) | Some t -> (t, false) in
         let pkt = recv_packet st ~src:(-1) ~tag:tag' ~any_tag ~deadline in
         st.c_recvd <- st.c_recvd + 1;
-        (pkt.k_src, Obj.obj (obj_of_packet pkt)));
-    send_slice = (fun ~dest ~tag s -> send_slice_to st ~dest ~tag s);
-    recv_slice =
-      (fun ?timeout ~src ~tag () ->
-        check_src st "recv_slice" src;
-        let deadline = deadline_of st "recv_slice" timeout in
-        let pkt = recv_packet st ~src ~tag ~any_tag:false ~deadline in
-        st.c_recvd <- st.c_recvd + 1;
-        (Obj.obj (obj_of_packet pkt) : Engine.slice));
+        (pkt.k_src, Marshal.from_bytes pkt.k_payload 0));
     work = (fun d -> if d < 0.0 then invalid_arg "Procs.work: negative duration");
     sleep =
       (fun d ->

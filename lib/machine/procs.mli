@@ -2,10 +2,8 @@
     processes over Unix-domain sockets.
 
     Each rank is a process [fork]ed at [run] time; every rank pair shares
-    one socketpair carrying length-prefixed frames — [Marshal] payloads
-    for ordinary sends, raw little-endian float64 bytes for the bulk
-    slice tier (one [send_slice] stays exactly one frame, preserving the
-    coalescing contract). Ranks share no heap: this is the step from
+    one socketpair carrying length-prefixed frames, each one [Marshal]ed
+    message. Ranks share no heap: this is the step from
     "parallel library" to "distributed system", where {!Fault.Crashed}
     means a process really died.
 
@@ -19,7 +17,7 @@
     - payloads must be marshalable: sending a closure (or a custom block
       without serializers) raises {!Fault.Unserializable} at the send
       site;
-    - a slice received here is a fresh copy, not an alias of the
+    - a value received here is a fresh copy, not an alias of the
       sender's storage;
     - crash detection is local, not global: a receive with no timeout
       raises {!Fault.Crashed} as soon as the awaited peer's socket hits

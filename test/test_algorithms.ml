@@ -893,87 +893,6 @@ let test_los_monotone_ridge () =
   Alcotest.(check bool) "plain behind the wall hidden" true
     (not (Array.exists Fun.id (Array.sub v 2 40)))
 
-(* --- flat tier ------------------------------------------------------------------
-   The unboxed Bigarray ports of jacobi/heat2d/cg must be bitwise-identical
-   to their boxed oracles at the same process count: same block geometry,
-   same local summation order, same stencil expression shape, so every
-   intermediate float — and hence the iteration count and each solution
-   component — is exactly equal, not merely close. *)
-
-let vec_bitwise a b =
-  Array.length a = Array.length b && Array.for_all2 (fun x y -> Float.equal x y) a b
-
-let test_jacobi_flat_bitwise_sim () =
-  let f = Array.init 37 (fun j -> float_of_int ((j * 5 mod 11) - 4)) in
-  List.iter
-    (fun procs ->
-      let r0, _ = Jacobi.solve_sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
-      let r1, _ = Jacobi.solve_sim_flat ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
-      Alcotest.(check int)
-        (Printf.sprintf "iterations p=%d" procs)
-        r0.Jacobi.iterations r1.Jacobi.iterations;
-      Alcotest.(check bool)
-        (Printf.sprintf "bitwise solution p=%d" procs)
-        true
-        (vec_bitwise r0.Jacobi.solution r1.Jacobi.solution))
-    [ 1; 2; 4 ]
-
-let test_heat2d_flat_bitwise_sim () =
-  let n = 12 in
-  let f = Array.init n (fun i -> Array.init n (fun j -> float_of_int ((i + (2 * j)) mod 5))) in
-  List.iter
-    (fun procs ->
-      let r0, _ = Heat2d.solve_sim ~procs ~tol:1e-7 f in
-      let r1, _ = Heat2d.solve_sim_flat ~procs ~tol:1e-7 f in
-      Alcotest.(check int)
-        (Printf.sprintf "iterations p=%d" procs)
-        r0.Heat2d.iterations r1.Heat2d.iterations;
-      Alcotest.(check bool)
-        (Printf.sprintf "bitwise solution p=%d" procs)
-        true
-        (Array.for_all2 vec_bitwise r0.Heat2d.solution r1.Heat2d.solution))
-    [ 1; 4 ]
-
-let test_cg_flat_bitwise_sim () =
-  let rng = Runtime.Xoshiro.of_seed 23 in
-  let b = Array.init 41 (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
-  List.iter
-    (fun procs ->
-      let r0, _ = Cg.solve_sim ~procs ~tol:1e-10 b in
-      let r1, _ = Cg.solve_sim_flat ~procs ~tol:1e-10 b in
-      Alcotest.(check int)
-        (Printf.sprintf "iterations p=%d" procs)
-        r0.Cg.iterations r1.Cg.iterations;
-      Alcotest.(check bool)
-        (Printf.sprintf "bitwise solution p=%d" procs)
-        true
-        (vec_bitwise r0.Cg.solution r1.Cg.solution))
-    [ 1; 2; 4 ]
-
-let test_jacobi_flat_multicore_bitwise () =
-  let f = Array.init 29 (fun j -> float_of_int ((j * 3 mod 7) - 2)) in
-  let r0, _ = Jacobi.solve_sim_flat ~procs:3 ~tol:1e-8 f ~left:0.25 ~right:0.5 in
-  let r1, _ = Jacobi.solve_multicore_flat ~procs:3 ~tol:1e-8 f ~left:0.25 ~right:0.5 in
-  Alcotest.(check int) "iterations" r0.Jacobi.iterations r1.Jacobi.iterations;
-  Alcotest.(check bool) "bitwise solution" true (vec_bitwise r0.Jacobi.solution r1.Jacobi.solution)
-
-let test_cg_flat_multicore_bitwise () =
-  let rng = Runtime.Xoshiro.of_seed 31 in
-  let b = Array.init 26 (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
-  let r0, _ = Cg.solve_sim_flat ~procs:3 ~tol:1e-10 b in
-  let r1, _ = Cg.solve_multicore_flat ~procs:3 ~tol:1e-10 b in
-  Alcotest.(check int) "iterations" r0.Cg.iterations r1.Cg.iterations;
-  Alcotest.(check bool) "bitwise solution" true (vec_bitwise r0.Cg.solution r1.Cg.solution)
-
-let test_heat2d_flat_multicore_bitwise () =
-  let n = 9 in
-  let f = Array.init n (fun i -> Array.init n (fun j -> float_of_int ((i * j) mod 4))) in
-  let r0, _ = Heat2d.solve_sim_flat ~procs:3 ~tol:1e-6 f in
-  let r1, _ = Heat2d.solve_multicore_flat ~procs:3 ~tol:1e-6 f in
-  Alcotest.(check int) "iterations" r0.Heat2d.iterations r1.Heat2d.iterations;
-  Alcotest.(check bool) "bitwise solution" true
-    (Array.for_all2 vec_bitwise r0.Heat2d.solution r1.Heat2d.solution)
-
 let () =
   Alcotest.run "algorithms"
     [
@@ -1116,18 +1035,5 @@ let () =
           prop_odd_even_sorts;
           Alcotest.test_case "nearest-neighbour traffic" `Quick test_odd_even_is_all_nearest_neighbour;
           Alcotest.test_case "wins on high-latency ring" `Slow test_odd_even_vs_hqs_on_ring;
-        ] );
-      ( "flat-tier",
-        [
-          Alcotest.test_case "jacobi flat = boxed (sim, bitwise)" `Quick
-            test_jacobi_flat_bitwise_sim;
-          Alcotest.test_case "heat2d flat = boxed (sim, bitwise)" `Quick
-            test_heat2d_flat_bitwise_sim;
-          Alcotest.test_case "cg flat = boxed (sim, bitwise)" `Quick test_cg_flat_bitwise_sim;
-          Alcotest.test_case "jacobi flat multicore = sim" `Quick
-            test_jacobi_flat_multicore_bitwise;
-          Alcotest.test_case "cg flat multicore = sim" `Quick test_cg_flat_multicore_bitwise;
-          Alcotest.test_case "heat2d flat multicore = sim" `Quick
-            test_heat2d_flat_multicore_bitwise;
         ] );
     ]

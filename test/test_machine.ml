@@ -1198,108 +1198,60 @@ let suite =
       ] );
   ]
 
-(* --- bulk slice tier ------------------------------------------------------------ *)
+(* --- float-array collective battery --------------------------------------------
+   bcast/scatter/gather/allgather over plain [float array] payloads — the
+   one representation the SPMD solvers exchange — on every engine. *)
 
-let slice_of_list xs =
-  let a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout (Array.of_list xs) in
-  (a : Engine.slice)
+let battery_whole = Array.init 17 (fun i -> float_of_int ((i * 3) + 1))
 
-let slice_to_list (s : Engine.slice) =
-  List.init (Bigarray.Array1.dim s) (Bigarray.Array1.get s)
+let blocks m (a : float array) =
+  let b = Scl_sim.Dvec.block_bounds ~total:(Array.length a) ~parts:m in
+  Array.init m (fun k -> Array.sub a b.(k) (b.(k + 1) - b.(k)))
 
-let test_slice_p2p_roundtrip () =
-  List.iter
-    (fun n ->
-      let payload = List.init n (fun i -> float_of_int i *. 0.5) in
-      let got = ref [] in
-      let stats =
-        run_world ~procs:2 (fun c ->
-            if Comm.rank c = 0 then Comm.send_slice c ~dest:1 (slice_of_list payload)
-            else got := slice_to_list (Comm.recv_slice c ~src:0 ()))
-      in
-      Alcotest.(check (list (float 0.0))) (Printf.sprintf "n=%d" n) payload !got;
-      Alcotest.(check int) "one message" 1 stats.Sim.total_msgs;
-      Alcotest.(check int) "8 bytes per element" (8 * n) stats.Sim.total_bytes)
-    [ 0; 1; 13; 1024 ]
-
-let test_slice_fifo_with_boxed () =
-  (* slice and ordinary traffic on the SAME tagged channel keep their
-     relative order *)
-  let seen = ref [] in
-  let _ =
-    run_world ~procs:2 (fun c ->
-        if Comm.rank c = 0 then begin
-          Comm.send c ~dest:1 ~tag:7 "first";
-          Comm.send_slice c ~dest:1 ~tag:7 (slice_of_list [ 2.0 ]);
-          Comm.send c ~dest:1 ~tag:7 "third"
-        end
-        else begin
-          let a : string = Comm.recv c ~src:0 ~tag:7 () in
-          let b = Comm.recv_slice c ~src:0 ~tag:7 () in
-          let d : string = Comm.recv c ~src:0 ~tag:7 () in
-          seen := [ a; string_of_float (Bigarray.Array1.get b 0); d ]
-        end)
-  in
-  Alcotest.(check (list string)) "order" [ "first"; "2."; "third" ] !seen
-
-let slice_collective_battery c =
+let float_collective_battery c =
   let p = Comm.size c in
   let me = Comm.rank c in
-  let n = 17 in
-  let whole = List.init n (fun i -> float_of_int ((i * 3) + 1)) in
-  let bc = slice_to_list (Comm.bcast_slice c ~root:0 (if me = 0 then Some (slice_of_list whole) else None)) in
-  let mine = Comm.scatter_slice c ~root:0 (if me = 0 then Some (slice_of_list whole) else None) in
-  let back = Comm.gather_slice c ~root:0 mine in
-  let all = slice_to_list (Comm.allgather_slice c (slice_of_list [ float_of_int me; 100.0 ])) in
-  (bc, Option.map slice_to_list back, all)
+  let root_only v = if me = 0 then Some v else None in
+  let bc = Comm.bcast c ~root:0 (root_only battery_whole) in
+  let mine = Comm.scatter c ~root:0 (root_only (blocks p battery_whole)) in
+  let back = Option.map (fun parts -> Array.concat (Array.to_list parts)) (Comm.gather c ~root:0 mine) in
+  let all = Array.concat (Array.to_list (Comm.allgather c [| float_of_int me; 100.0 |])) in
+  (bc, back, all)
 
-let test_slice_collectives () =
+let check_battery_result procs rank (bc, back, all) =
+  let expected_all = Array.concat (List.init procs (fun r -> [| float_of_int r; 100.0 |])) in
+  Alcotest.(check (array (float 0.0))) "bcast" battery_whole bc;
+  (if rank = 0 then
+     Alcotest.(check (array (float 0.0))) "gather inverts scatter" battery_whole (Option.get back)
+   else Alcotest.(check bool) "non-root gets None" true (back = None));
+  Alcotest.(check (array (float 0.0))) "allgather" expected_all all
+
+let test_float_collectives () =
   List.iter
     (fun procs ->
-      let n = 17 in
-      let whole = List.init n (fun i -> float_of_int ((i * 3) + 1)) in
-      let expected_all =
-        List.concat (List.init procs (fun r -> [ float_of_int r; 100.0 ]))
-      in
-      let _ =
-        run_world ~procs (fun c ->
-            let bc, back, all = slice_collective_battery c in
-            Alcotest.(check (list (float 0.0))) "bcast_slice" whole bc;
-            (if Comm.rank c = 0 then
-               Alcotest.(check (list (float 0.0))) "gather inverts scatter" whole (Option.get back)
-             else Alcotest.(check bool) "non-root gets None" true (back = None));
-            Alcotest.(check (list (float 0.0))) "allgather_slice" expected_all all)
-      in
-      ())
+      ignore
+        (run_world ~procs (fun c ->
+             check_battery_result procs (Comm.rank c) (float_collective_battery c))))
     [ 1; 2; 4 ]
 
-let test_slice_collectives_multicore () =
-  (* same battery through the multicore engine (zero-copy path) *)
+let test_float_collectives_multicore () =
+  (* ranks may run on several domains and Alcotest is not domain-safe, so
+     each rank records its battery and the checks run after the join *)
   List.iter
     (fun procs ->
-      let n = 17 in
-      let whole = List.init n (fun i -> float_of_int ((i * 3) + 1)) in
-      let expected_all = List.concat (List.init procs (fun r -> [ float_of_int r; 100.0 ])) in
-      let _ =
-        Multicore.run ~procs (fun eng ->
-            let c = Comm.world eng in
-            let bc, back, all = slice_collective_battery c in
-            Alcotest.(check (list (float 0.0))) "bcast_slice" whole bc;
-            (if Comm.rank c = 0 then
-               Alcotest.(check (list (float 0.0))) "gather inverts scatter" whole (Option.get back)
-             else Alcotest.(check bool) "non-root gets None" true (back = None));
-            Alcotest.(check (list (float 0.0))) "allgather_slice" expected_all all)
-      in
-      ())
+      let got = Array.make procs None in
+      ignore
+        (Multicore.run ~procs (fun eng ->
+             let c = Comm.world eng in
+             got.(Comm.rank c) <- Some (float_collective_battery c)));
+      Array.iteri (fun rank r -> check_battery_result procs rank (Option.get r)) got)
     [ 1; 2; 4 ]
 
-let test_slice_chaos_coherent () =
-  (* the chaos wrapper holds/releases bulk sends like ordinary sends:
-     values survive perturbation, and the zero-fault wrap is identity *)
+let test_float_collectives_chaos_coherent () =
+  (* values survive held/released sends, and the zero-fault wrap is identity *)
   let battery c =
-    let me = Comm.rank c in
-    let _, back, all = slice_collective_battery c in
-    if me = 0 then Some (back, all) else None
+    let _, back, all = float_collective_battery c in
+    if Comm.rank c = 0 then Some (back, all) else None
   in
   let bare, _ = Spmd.run_collect ~procs:4 battery in
   List.iter
@@ -1312,13 +1264,11 @@ let test_slice_chaos_coherent () =
 let suite =
   suite
   @ [
-      ( "slice",
+      ( "floatarray",
         [
-          Alcotest.test_case "p2p roundtrip + pricing" `Quick test_slice_p2p_roundtrip;
-          Alcotest.test_case "fifo with boxed traffic" `Quick test_slice_fifo_with_boxed;
-          Alcotest.test_case "collectives (sim)" `Quick test_slice_collectives;
-          Alcotest.test_case "collectives (multicore)" `Quick test_slice_collectives_multicore;
-          Alcotest.test_case "chaos coherence" `Quick test_slice_chaos_coherent;
+          Alcotest.test_case "collectives (sim)" `Quick test_float_collectives;
+          Alcotest.test_case "collectives (multicore)" `Quick test_float_collectives_multicore;
+          Alcotest.test_case "chaos coherence" `Quick test_float_collectives_chaos_coherent;
         ] );
     ]
 

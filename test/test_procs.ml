@@ -223,55 +223,48 @@ let test_engine_equivalence_collectives () =
       Alcotest.(check bool) (Printf.sprintf "collectives agree at p=%d" procs) true (sim = pr))
     [ 1; 2; 4 ]
 
-(* The bcast/scatter/gather/allgather battery, boxed and slice tiers.
-   Slices cross the sockets as raw float64 bit patterns, so the values
-   must come back bitwise-identical to the simulator's. *)
+(* The bcast/scatter/gather/allgather battery over boxed payloads; the
+   float arrays cross the sockets marshalled, so the values must come
+   back bitwise-identical to the simulator's. *)
 let bs_program (comm : Comm.t) =
   let p = Comm.size comm in
   let me = Comm.rank comm in
-  let mk n f =
-    let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      a.{i} <- f i
-    done;
-    a
-  in
-  let to_list (s : Engine.slice) = List.init (Bigarray.Array1.dim s) (fun i -> s.{i}) in
   let b = Comm.bcast comm ~root:0 (if me = 0 then Some "root-word" else None) in
   let sc = Comm.scatter comm ~root:0 (if me = 0 then Some (Array.init p (fun j -> j * 7)) else None) in
   let g = Comm.gather comm ~root:0 (me * 11) in
   let ag = Comm.allgather comm (me + 100) in
-  let bsl =
-    Comm.bcast_slice comm ~root:0
-      (if me = 0 then Some (mk 5 (fun i -> 1.0 /. float_of_int (i + 1))) else None)
+  let bf =
+    Comm.bcast comm ~root:0
+      (if me = 0 then Some (Array.init 5 (fun i -> 1.0 /. float_of_int (i + 1))) else None)
   in
-  let scl =
-    Comm.scatter_slice comm ~root:0
-      (if me = 0 then Some (mk (3 * p) (fun i -> float_of_int i *. 0.5)) else None)
+  let sf =
+    Comm.scatter comm ~root:0
+      (if me = 0 then Some (Array.init p (fun j -> Array.init 3 (fun i -> float_of_int ((3 * j) + i) *. 0.5)))
+       else None)
   in
-  let gsl = Comm.gather_slice comm ~root:0 (mk 2 (fun i -> float_of_int ((me * 10) + i))) in
-  let agl = Comm.allgather_slice comm (mk 1 (fun _ -> float_of_int me +. 0.25)) in
+  let gf = Comm.gather comm ~root:0 (Array.init 2 (fun i -> float_of_int ((me * 10) + i))) in
+  let agf = Comm.allgather comm [| float_of_int me +. 0.25 |] in
   let everything =
     ( b,
       sc,
       (match g with Some a -> Array.to_list a | None -> []),
       Array.to_list ag,
-      to_list bsl,
-      to_list scl,
-      (match gsl with Some s -> to_list s | None -> []),
-      to_list agl )
+      bf,
+      sf,
+      (match gf with Some a -> Array.to_list a | None -> []),
+      Array.to_list agf )
   in
   match Comm.gather comm ~root:0 everything with
   | Some all -> Some (Array.to_list all)
   | None -> None
 
-let test_collective_battery_with_slices () =
+let test_collective_battery () =
   List.iter
     (fun procs ->
       let sim, _ = Spmd.run_collect ~procs bs_program in
       let pr, _ = Spmd.run_procs_collect ~procs bs_program in
       Alcotest.(check bool)
-        (Printf.sprintf "bcast/scatter/gather/allgather (+slices) agree at p=%d" procs)
+        (Printf.sprintf "bcast/scatter/gather/allgather agree at p=%d" procs)
         true (sim = pr))
     [ 2; 4 ]
 
@@ -351,12 +344,16 @@ let test_farm_on_procs () =
     [ 2; 4 ]
 
 let test_farm_survives_chaos_worker_crash () =
-  (* rank 2 fail-stops on its 5th communication op (mid-job) — on this
-     engine that is a process dying with its sockets; the master's grace
-     timeouts detect the silence and re-deal its job *)
+  (* rank 2 fail-stops on its 2nd communication op — the receive of its
+     first deal, so it dies holding whatever the master dealt it — on
+     this engine that is a process dying with its sockets; the master's
+     grace timeouts detect the silence and re-deal its job.  A later
+     crash point would be scheduling-dependent: jobs cost no wall time
+     here, so on a loaded host ranks 1 and 3 can drain the farm before
+     rank 2 reaches it, and rank 2 would be pilled before crashing. *)
   let njobs = 24 in
   let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-  let chaos = { Chaos.none with Chaos.crashes = [ (2, 5) ] } in
+  let chaos = { Chaos.none with Chaos.crashes = [ (2, 2) ] } in
   let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.5 ~chaos spec in
   Alcotest.(check bool) "all jobs done exactly once" true (got = farm_expected njobs);
   Alcotest.(check (list int)) "the crash is recorded" [ 2 ] stats.Procs.crashed
@@ -423,8 +420,7 @@ let suite =
     ( "engine-equivalence",
       [
         Alcotest.test_case "collectives p=1/2/4" `Quick test_engine_equivalence_collectives;
-        Alcotest.test_case "bcast/scatter/gather/allgather + slices p=2/4" `Quick
-          test_collective_battery_with_slices;
+        Alcotest.test_case "bcast/scatter/gather/allgather p=2/4" `Quick test_collective_battery;
         Alcotest.test_case "reduce root sweep" `Quick test_reduce_root_sweep;
         Alcotest.test_case "hyperquicksort p=1/2/4" `Quick test_engine_equivalence_hyperquicksort;
         Alcotest.test_case "hyperquicksort leaves caller data p=1/2/4" `Quick

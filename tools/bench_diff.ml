@@ -90,9 +90,9 @@ let () =
   in
   if comparisons = [] then Printf.printf "  (no benchmarks in common)\n";
   (* Throughput comparison: benchmarks that export a bytes/sec counter
-     (any "*.bytes_per_s" — the slice ping-pong sweep, the flat host
-     kernels) get a second table in bandwidth terms — the natural axis
-     where wall-clock medians conflate per-message overhead with volume.
+     (any "*.bytes_per_s" — today the flat host kernels'
+     [flat.bytes_per_s]) get a second table in bandwidth terms — the
+     natural axis where wall-clock medians conflate overhead with volume.
      Host throughput is as noisy as host wall-clock, so this table is
      always informational (warn-only); sim-backend counters are already
      compared bitwise by --sim-strict above. *)

@@ -68,13 +68,12 @@
                             p ∈ {1, 2, 4} — before and after beam
                             optimisation (the segmented-flattening
                             differential).
-     9. flat-vs-boxed     — [--flat-cases] seeded workloads per solver:
-                            the unboxed Bigarray ports of jacobi, heat2d
-                            and cg must be bitwise-identical (iteration
-                            counts and every solution float) to the boxed
-                            oracles at the same process count, on the
-                            simulator at p ∈ {1, 2, 4} (heat2d {1, 4})
-                            and on the multicore engine at p = 3.  Also
+     9. solvers + kernels — [--flat-cases] seeded workloads per solver:
+                            jacobi, heat2d and cg on the multicore engine
+                            must be bitwise-identical (iteration counts
+                            and every solution float) to the simulator
+                            at the same process count: p = 3 for jacobi
+                            and cg, p = 4 for heat2d.  Also
                             the host-flat legs: the unboxed Flat_exec
                             kernels (sequential and pool) vs the boxed
                             Scl skeletons, the Host_exec flat fast path
@@ -181,7 +180,7 @@ let () =
         "N seeded search-vs-greedy + flattening differentials (default 3)" );
       ( "--flat-cases",
         Arg.Set_int flat_cases,
-        "N seeded flat-vs-boxed solver differentials (default 3)" );
+        "N seeded solver (multicore = sim) and host flat-kernel differentials (default 3)" );
       ( "--tolerance",
         Arg.Set_float tolerance,
         "F allowed simulated-makespan regression factor (default 1.25)" );
@@ -601,12 +600,12 @@ let () =
     end
   in
 
-  (* phase 9: flat-vs-boxed differential — the unboxed Bigarray ports of
-     jacobi/heat2d/cg against their boxed oracles at the same process
-     count.  Same block geometry and local summation order, so the
-     comparison is bitwise float equality on every solution component and
-     exact equality on iteration counts — not an epsilon check.  Workload
-     sizes and data derive from the case seed. *)
+  (* phase 9: seeded solver differential — jacobi/heat2d/cg on the
+     multicore engine against the simulator at the same process count.
+     One program body, same block geometry and local summation order, so
+     the comparison is bitwise float equality on every solution component
+     and exact equality on iteration counts — not an epsilon check.
+     Workload sizes and data derive from the case seed. *)
   let ok_flat =
     if not full then true
     else begin
@@ -615,7 +614,7 @@ let () =
     in
     let diverged label (r0_it, r0_sol) (r1_it, r1_sol) =
       if r0_it <> r1_it then
-        Some (Printf.sprintf "%s: iterations %d (boxed) vs %d (flat)" label r0_it r1_it)
+        Some (Printf.sprintf "%s: iterations %d (sim) vs %d (multicore)" label r0_it r1_it)
       else if not (vec_bitwise r0_sol r1_sol) then
         Some (label ^ ": solutions differ bitwise")
       else None
@@ -626,75 +625,40 @@ let () =
       let case_seed = !seed + (1019 * k) in
       let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0xf1a7) in
       let jn = 8 + Runtime.Xoshiro.int shape 56 in
-      (* even: the boxed oracle decomposes on a qxq grid, so q=2 must
-         divide the heat2d dimension at p=4 *)
+      (* even: heat2d decomposes on a qxq grid, so q=2 must divide the
+         dimension at p=4 *)
       let hn = 2 * (3 + Runtime.Xoshiro.int shape 5) in
       let cn = 8 + Runtime.Xoshiro.int shape 40 in
       let rng = Runtime.Xoshiro.of_seed case_seed in
       let jf = Array.init jn (fun _ -> Runtime.Xoshiro.float rng 4.0 -. 2.0) in
       let hf = Array.init hn (fun _ -> Array.init hn (fun _ -> Runtime.Xoshiro.float rng 2.0)) in
       let cb = Array.init cn (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
-      List.iter
-        (fun procs ->
-          add
-            (Printf.sprintf "jacobi flat=boxed sim p=%d n=%d seed=%d" procs jn case_seed)
-            (fun () ->
-              let r0, _ =
-                Algorithms.Jacobi.solve_sim ~procs ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
-              in
-              let r1, _ =
-                Algorithms.Jacobi.solve_sim_flat ~procs ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
-              in
-              diverged "jacobi"
-                (r0.Algorithms.Jacobi.iterations, r0.Algorithms.Jacobi.solution)
-                (r1.Algorithms.Jacobi.iterations, r1.Algorithms.Jacobi.solution));
-          add
-            (Printf.sprintf "cg flat=boxed sim p=%d n=%d seed=%d" procs cn case_seed)
-            (fun () ->
-              let r0, _ = Algorithms.Cg.solve_sim ~procs ~tol:1e-10 cb in
-              let r1, _ = Algorithms.Cg.solve_sim_flat ~procs ~tol:1e-10 cb in
-              diverged "cg"
-                (r0.Algorithms.Cg.iterations, r0.Algorithms.Cg.solution)
-                (r1.Algorithms.Cg.iterations, r1.Algorithms.Cg.solution)))
-        [ 1; 2; 4 ];
-      List.iter
-        (fun procs ->
-          add
-            (Printf.sprintf "heat2d flat=boxed sim p=%d n=%d seed=%d" procs hn case_seed)
-            (fun () ->
-              let r0, _ = Algorithms.Heat2d.solve_sim ~procs ~tol:1e-6 hf in
-              let r1, _ = Algorithms.Heat2d.solve_sim_flat ~procs ~tol:1e-6 hf in
-              if r0.Algorithms.Heat2d.iterations <> r1.Algorithms.Heat2d.iterations then
-                Some
-                  (Printf.sprintf "heat2d: iterations %d (boxed) vs %d (flat)"
-                     r0.Algorithms.Heat2d.iterations r1.Algorithms.Heat2d.iterations)
-              else if
-                not
-                  (Array.for_all2 vec_bitwise r0.Algorithms.Heat2d.solution
-                     r1.Algorithms.Heat2d.solution)
-              then Some "heat2d: solutions differ bitwise"
-              else None))
-        [ 1; 4 ];
       add
-        (Printf.sprintf "jacobi flat multicore=sim p=3 n=%d seed=%d" jn case_seed)
+        (Printf.sprintf "jacobi multicore=sim p=3 n=%d seed=%d" jn case_seed)
         (fun () ->
-          let r0, _ =
-            Algorithms.Jacobi.solve_sim_flat ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
-          in
+          let r0, _ = Algorithms.Jacobi.solve_sim ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25) in
           let r1, _ =
-            Algorithms.Jacobi.solve_multicore_flat ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
+            Algorithms.Jacobi.solve_multicore ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
           in
-          diverged "jacobi multicore"
+          diverged "jacobi"
             (r0.Algorithms.Jacobi.iterations, r0.Algorithms.Jacobi.solution)
             (r1.Algorithms.Jacobi.iterations, r1.Algorithms.Jacobi.solution));
       add
-        (Printf.sprintf "cg flat multicore=sim p=3 n=%d seed=%d" cn case_seed)
+        (Printf.sprintf "cg multicore=sim p=3 n=%d seed=%d" cn case_seed)
         (fun () ->
-          let r0, _ = Algorithms.Cg.solve_sim_flat ~procs:3 ~tol:1e-10 cb in
-          let r1, _ = Algorithms.Cg.solve_multicore_flat ~procs:3 ~tol:1e-10 cb in
-          diverged "cg multicore"
+          let r0, _ = Algorithms.Cg.solve_sim ~procs:3 ~tol:1e-10 cb in
+          let r1, _ = Algorithms.Cg.solve_multicore ~procs:3 ~tol:1e-10 cb in
+          diverged "cg"
             (r0.Algorithms.Cg.iterations, r0.Algorithms.Cg.solution)
             (r1.Algorithms.Cg.iterations, r1.Algorithms.Cg.solution));
+      add
+        (Printf.sprintf "heat2d multicore=sim p=4 n=%d seed=%d" hn case_seed)
+        (fun () ->
+          let r0, _ = Algorithms.Heat2d.solve_sim ~procs:4 ~tol:1e-6 hf in
+          let r1, _ = Algorithms.Heat2d.solve_multicore ~procs:4 ~tol:1e-6 hf in
+          diverged "heat2d"
+            (r0.Algorithms.Heat2d.iterations, Array.concat (Array.to_list r0.Algorithms.Heat2d.solution))
+            (r1.Algorithms.Heat2d.iterations, Array.concat (Array.to_list r1.Algorithms.Heat2d.solution)));
       (* host-flat legs: the unboxed Flat_exec kernels (sequential and
          pool) against the boxed Scl skeletons, and the Host_exec flat
          fast path against the reference interpreter.  Dyadic data keeps
@@ -788,7 +752,7 @@ let () =
             Some "Seq_kernels.quicksort differs from Array.sort"
           else None)
     done;
-    report_checks ~phase:"flat-vs-boxed solvers" (List.rev !cases)
+    report_checks ~phase:"solvers multicore=sim + host kernels" (List.rev !cases)
     end
   in
 

@@ -74,8 +74,23 @@ let to_array (a : ('a, 'b) t) : 'a array =
     out
   end
 
-let of_float_array (src : float array) : float1 = of_array float64 src
-let to_float_array (a : float1) : float array = to_array a
+(* Float specialisations: with the element type known, both loops copy
+   raw doubles — no boxed float per element, unlike the generic pair. *)
+let of_float_array (src : float array) : float1 =
+  let n = Array.length src in
+  let a = create float64 n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
+  done;
+  a
+
+let to_float_array (a : float1) : float array =
+  let n = length a in
+  let out = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
+  done;
+  out
 
 let equal (a : ('a, 'b) t) (b : ('a, 'b) t) =
   length a = length b

@@ -40,8 +40,13 @@ val copy : ('a, 'b) t -> ('a, 'b) t
 
 val of_array : ('a, 'b) Bigarray.kind -> 'a array -> ('a, 'b) t
 val to_array : ('a, 'b) t -> 'a array
+
 val of_float_array : float array -> float1
+(** Monomorphic float64 copy: allocates no boxed float. *)
+
 val to_float_array : float1 -> float array
+(** Monomorphic float64 copy: allocates no boxed float. *)
+
 val equal : ('a, 'b) t -> ('a, 'b) t -> bool
 
 (** {1 Partitioning}

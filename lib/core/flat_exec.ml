@@ -5,23 +5,28 @@
    allocates its result and every array slot is a pointer.  Here the
    payload is a C-layout Bigarray and the operator is a first-order
    description ([fun1]/[fun2]): a loop matches the operator ONCE and then
-   runs a monomorphic [unsafe_get]/[unsafe_set] body, so a known primitive
-   (Add, Scale c, ...) executes with no per-element closure call and no
-   per-element allocation.  The escape hatches [Fun1]/[Fun2] accept
-   arbitrary OCaml closures and pay the usual boxed calling convention —
-   only unknown operators cost what the boxed tier costs everywhere.
+   runs a monomorphic [unsafe_get]/[unsafe_set] body.  A fused map run is
+   a [Chain] of such descriptions, not a closure.  Every kernel maps one
+   cache block of [block] floats at a time with the stage loops (first
+   stage source -> destination, later stages in place) and then reduces
+   or scans that block in a [fun2]-specialised loop whose accumulator is
+   an unboxed local [float ref].  So known primitives and chains of them
+   run with no per-element closure call and no per-element allocation —
+   a few words per block, pinned by the test suite's minor-word budget.
+   The escape hatches [Fun1]/[Fun2] accept arbitrary OCaml closures and
+   pay the usual boxed calling convention — only unknown operators cost
+   what the boxed tier costs everywhere.
 
    The pool scan is a Blelloch-style two-phase layout (the work-efficient
-   discipline of the classic GPU scan): phase 1 reduces each chunk into an
-   unboxed partials array WITHOUT touching the output, a sequential
-   exclusive scan of the partials yields each chunk's carry-in, and phase 2
-   downsweeps every chunk into the output exactly once with its carry
-   folded into the first element.  Two data passes and one unboxed
-   [float array] of per-chunk state — versus the boxed three-phase scan
-   (local scans, option-boxed offsets, a third rewrite pass over the whole
-   output).  Chunks partition by [Flat.sub_view] (O(1) window headers, no
-   copying) and size by the pool's bytes-aware grain, so 8-byte floats get
-   larger chunks than boxed values would.
+   discipline of the classic GPU scan): phase 1 maps each chunk into the
+   output and reduces it into an unboxed partials array, a sequential
+   exclusive scan of the partials yields each chunk's carry-in, and phase
+   2 scans every chunk in place with its carry folded into the first
+   element.  The map runs once per element; one unboxed [float array] of
+   per-chunk state — versus the boxed three-phase scan (local scans,
+   option-boxed offsets, a third rewrite pass over the whole output).
+   Chunks are index ranges sized by the pool's bytes-aware grain, so
+   8-byte floats get larger chunks than boxed values would.
 
    Bitwise discipline: every loop applies the operators in ascending index
    order, chunk results combine in chunk order, and a chunk's carry is
@@ -29,7 +34,9 @@
    the boxed skeletons, so on exactly-associative operators (the [Fn]
    float library: dyadic-exact fadd, fmax, fmin) flat and boxed results
    are bit-identical on both backends, which is how the property tests
-   pin this module. *)
+   pin this module.  Blocks change nothing here: the accumulator runs
+   across block boundaries, and a [Chain] applies its stages to each
+   element in order, storing exact float64 intermediates. *)
 
 module A = Bigarray.Array1
 
@@ -38,12 +45,19 @@ type fun1 =
   | Neg
   | Scale of float  (* x *. c *)
   | Offset of float  (* x +. c *)
+  | Chain of fun1 list  (* stages in application order: the first applies first *)
   | Fun1 of (float -> float)
 
 type fun2 = Add | Mul | Max | Min | Fun2 of (float -> float -> float)
 
-let apply1 op x =
-  match op with Id -> x | Neg -> -.x | Scale c -> x *. c | Offset c -> x +. c | Fun1 f -> f x
+let rec apply1 op x =
+  match op with
+  | Id -> x
+  | Neg -> -.x
+  | Scale c -> x *. c
+  | Offset c -> x +. c
+  | Chain ops -> List.fold_left (fun x op -> apply1 op x) x ops
+  | Fun1 f -> f x
 
 let apply2 op a b =
   match op with
@@ -58,6 +72,7 @@ let fun1_name = function
   | Neg -> "neg"
   | Scale _ -> "scale"
   | Offset _ -> "offset"
+  | Chain _ -> "chain"
   | Fun1 _ -> "fun1"
 
 let fun2_name = function
@@ -79,71 +94,117 @@ type t = {
 (* --- monomorphic range kernels -------------------------------------------
 
    The operator match sits OUTSIDE the loop; each arm is a closed loop
-   whose body the compiler sees whole.  [apply1] calls inside the [fun2]
-   arms are direct calls to a small known function — inlined, no closure,
-   no boxing for the primitive [fun1] constructors. *)
+   whose body the compiler sees whole, and accumulators are local
+   [float ref]s, which ocamlopt keeps unboxed in a register.  No kernel
+   calls [apply1] per element: a map (or [Chain]) is first staged over one
+   cache-sized block of [block] floats by the [map_stage] loops, then the
+   block is reduced or scanned by an [op2]-specialised loop.  Blocks are
+   visited in ascending order and the accumulator runs straight across
+   block boundaries, so blocking changes no operation and no order. *)
 
-let map_into op ~(src : Flat.float1) ~(dst : Flat.float1) ~lo ~hi =
+let block = 2048
+
+(* One map over [len] elements: [dst.(dpos + i) <- op src.(spos + i)].  A
+   [Chain] runs its first stage src -> dst and the rest in place in dst. *)
+let rec map_stage op ~(src : Flat.float1) ~spos ~(dst : Flat.float1) ~dpos ~len =
+  let d = dpos - spos in
   match op with
-  | Id -> if src != dst then for i = lo to hi - 1 do A.unsafe_set dst i (A.unsafe_get src i) done
-  | Neg -> for i = lo to hi - 1 do A.unsafe_set dst i (-.(A.unsafe_get src i)) done
-  | Scale c -> for i = lo to hi - 1 do A.unsafe_set dst i (A.unsafe_get src i *. c) done
-  | Offset c -> for i = lo to hi - 1 do A.unsafe_set dst i (A.unsafe_get src i +. c) done
-  | Fun1 f -> for i = lo to hi - 1 do A.unsafe_set dst i (f (A.unsafe_get src i)) done
+  | Id ->
+      if src != dst || d <> 0 then
+        for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (A.unsafe_get src i) done
+  | Neg -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (-.(A.unsafe_get src i)) done
+  | Scale c -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (A.unsafe_get src i *. c) done
+  | Offset c -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (A.unsafe_get src i +. c) done
+  | Chain [] -> map_stage Id ~src ~spos ~dst ~dpos ~len
+  | Chain (first :: rest) ->
+      map_stage first ~src ~spos ~dst ~dpos ~len;
+      List.iter (fun op -> map_stage op ~src:dst ~spos:dpos ~dst ~dpos ~len) rest
+  | Fun1 f -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (f (A.unsafe_get src i)) done
 
-(* Reduce [lo, hi) with the map fused into the read; [lo < hi].  Tail
-   recursion keeps the accumulator in a register (no [float ref] cell to
-   re-box per iteration). *)
-let map_reduce_range op1 op2 (a : Flat.float1) ~lo ~hi =
-  let x0 = apply1 op1 (A.unsafe_get a lo) in
-  match op2 with
-  | Add ->
-      let rec go i acc = if i >= hi then acc else go (i + 1) (acc +. apply1 op1 (A.unsafe_get a i)) in
-      go (lo + 1) x0
-  | Mul ->
-      let rec go i acc = if i >= hi then acc else go (i + 1) (acc *. apply1 op1 (A.unsafe_get a i)) in
-      go (lo + 1) x0
-  | Max ->
-      let rec go i acc =
-        if i >= hi then acc else go (i + 1) (Float.max acc (apply1 op1 (A.unsafe_get a i)))
-      in
-      go (lo + 1) x0
-  | Min ->
-      let rec go i acc =
-        if i >= hi then acc else go (i + 1) (Float.min acc (apply1 op1 (A.unsafe_get a i)))
-      in
-      go (lo + 1) x0
-  | Fun2 f ->
-      let rec go i acc = if i >= hi then acc else go (i + 1) (f acc (apply1 op1 (A.unsafe_get a i))) in
-      go (lo + 1) x0
+(* Map [lo, hi) of [src] into the same positions of [dst], block by block
+   so a [Chain]'s in-place stages stay in cache. *)
+let map_range op ~src ~dst ~lo ~hi =
+  let pos = ref lo in
+  while !pos < hi do
+    let len = min block (hi - !pos) in
+    map_stage op ~src ~spos:!pos ~dst ~dpos:!pos ~len;
+    pos := !pos + len
+  done
 
-(* Inclusive scan of [lo, hi) into [dst], with the map fused into the read
-   and the chunk's carry already folded into [first] (= the value of
-   [dst.(lo)]).  The downsweep of the two-phase layout: each output slot
-   is written exactly once. *)
-let map_scan_into op1 op2 ~(src : Flat.float1) ~(dst : Flat.float1) ~lo ~hi ~first =
-  A.unsafe_set dst lo first;
-  match op2 with
+(* Fold [a.(lo) .. a.(hi - 1)] onto [init], left to right. *)
+let reduce_range op (a : Flat.float1) ~lo ~hi init =
+  let acc = ref init in
+  (match op with
+  | Add -> for i = lo to hi - 1 do acc := !acc +. A.unsafe_get a i done
+  | Mul -> for i = lo to hi - 1 do acc := !acc *. A.unsafe_get a i done
+  | Max -> for i = lo to hi - 1 do acc := Float.max !acc (A.unsafe_get a i) done
+  | Min -> for i = lo to hi - 1 do acc := Float.min !acc (A.unsafe_get a i) done
+  | Fun2 f -> for i = lo to hi - 1 do acc := f !acc (A.unsafe_get a i) done);
+  !acc
+
+(* Inclusive scan of [d.(lo) .. d.(hi - 1)] in place, continuing from
+   [init] (folded left of [d.(lo)]); returns the last prefix. *)
+let scan_range op (d : Flat.float1) ~lo ~hi init =
+  let acc = ref init in
+  (match op with
   | Add ->
-      for i = lo + 1 to hi - 1 do
-        A.unsafe_set dst i (A.unsafe_get dst (i - 1) +. apply1 op1 (A.unsafe_get src i))
+      for i = lo to hi - 1 do
+        acc := !acc +. A.unsafe_get d i;
+        A.unsafe_set d i !acc
       done
   | Mul ->
-      for i = lo + 1 to hi - 1 do
-        A.unsafe_set dst i (A.unsafe_get dst (i - 1) *. apply1 op1 (A.unsafe_get src i))
+      for i = lo to hi - 1 do
+        acc := !acc *. A.unsafe_get d i;
+        A.unsafe_set d i !acc
       done
   | Max ->
-      for i = lo + 1 to hi - 1 do
-        A.unsafe_set dst i (Float.max (A.unsafe_get dst (i - 1)) (apply1 op1 (A.unsafe_get src i)))
+      for i = lo to hi - 1 do
+        acc := Float.max !acc (A.unsafe_get d i);
+        A.unsafe_set d i !acc
       done
   | Min ->
-      for i = lo + 1 to hi - 1 do
-        A.unsafe_set dst i (Float.min (A.unsafe_get dst (i - 1)) (apply1 op1 (A.unsafe_get src i)))
+      for i = lo to hi - 1 do
+        acc := Float.min !acc (A.unsafe_get d i);
+        A.unsafe_set d i !acc
       done
   | Fun2 f ->
-      for i = lo + 1 to hi - 1 do
-        A.unsafe_set dst i (f (A.unsafe_get dst (i - 1)) (apply1 op1 (A.unsafe_get src i)))
-      done
+      for i = lo to hi - 1 do
+        acc := f !acc (A.unsafe_get d i);
+        A.unsafe_set d i !acc
+      done);
+  !acc
+
+(* Map [f] over [src.(lo)] .. [src.(hi - 1)] one block at a time, and
+   run [kernel] ([reduce_range] or [scan_range]) over each mapped block,
+   its accumulator carried from block to block; [lo < hi].  Blocks land in
+   the same positions of [into] when given, else in one block-sized
+   scratch buffer.  Returns the final accumulator. *)
+let staged kernel ?into f op ~(src : Flat.float1) ~lo ~hi =
+  let scratch = Option.is_none into in
+  let dst = match into with Some d -> d | None -> Flat.create Flat.float64 (min block (hi - lo)) in
+  let acc = ref 0.0 and pos = ref lo in
+  while !pos < hi do
+    let len = min block (hi - !pos) in
+    let dpos = if scratch then 0 else !pos in
+    map_stage f ~src ~spos:!pos ~dst ~dpos ~len;
+    (acc :=
+       if !pos = lo then kernel op dst ~lo:(dpos + 1) ~hi:(dpos + len) (A.unsafe_get dst dpos)
+       else kernel op dst ~lo:dpos ~hi:(dpos + len) !acc);
+    pos := !pos + len
+  done;
+  !acc
+
+(* Reduce [f src.(lo)] .. [f src.(hi - 1)]; [lo < hi].  [Id] reads the
+   source directly. *)
+let map_reduce_range f op ~(src : Flat.float1) ~lo ~hi =
+  match f with
+  | Id -> reduce_range op src ~lo:(lo + 1) ~hi (A.unsafe_get src lo)
+  | _ -> staged reduce_range f op ~src ~lo ~hi
+
+(* Inclusive scan of [f src.(lo)] .. [f src.(hi - 1)] into the same
+   positions of [dst]; [lo < hi]. *)
+let map_scan_range f op ~src ~dst ~lo ~hi =
+  ignore (staged scan_range ~into:dst f op ~src ~lo ~hi : float)
 
 (* --- observability (same discipline as Exec.instrument) ------------------ *)
 
@@ -184,18 +245,18 @@ let instrument e =
 let seq_map_fold f op a =
   let n = Flat.length a in
   if n = 0 then invalid_arg "Flat_exec.ffold: empty array";
-  map_reduce_range f op a ~lo:0 ~hi:n
+  map_reduce_range f op ~src:a ~lo:0 ~hi:n
 
 let seq_map_scan f op a =
   let n = Flat.length a in
   let out = Flat.create Flat.float64 n in
-  if n > 0 then map_scan_into f op ~src:a ~dst:out ~lo:0 ~hi:n ~first:(apply1 f (Flat.get a 0));
+  if n > 0 then map_scan_range f op ~src:a ~dst:out ~lo:0 ~hi:n;
   out
 
 let seq_map f a =
   let n = Flat.length a in
   let out = Flat.create Flat.float64 n in
-  map_into f ~src:a ~dst:out ~lo:0 ~hi:n;
+  map_range f ~src:a ~dst:out ~lo:0 ~hi:n;
   out
 
 let sequential =
@@ -225,14 +286,8 @@ let on_pool pool =
     let out = Flat.create Flat.float64 n in
     if n > 0 then begin
       let bounds = bounds_for n in
-      let nchunks = Array.length bounds - 1 in
-      Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:nchunks (fun k ->
-          let lo = bounds.(k) and hi = bounds.(k + 1) in
-          let len = hi - lo in
-          map_into op
-            ~src:(Flat.sub_view a ~pos:lo ~len)
-            ~dst:(Flat.sub_view out ~pos:lo ~len)
-            ~lo:0 ~hi:len)
+      Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:(Array.length bounds - 1) (fun k ->
+          map_range op ~src:a ~dst:out ~lo:bounds.(k) ~hi:bounds.(k + 1))
     end;
     out
   in
@@ -243,42 +298,40 @@ let on_pool pool =
     if n = 0 then invalid_arg "Flat_exec.ffold: empty array";
     let bounds = bounds_for n in
     let nchunks = Array.length bounds - 1 in
-    if nchunks = 1 then map_reduce_range f op a ~lo:0 ~hi:n
+    if nchunks = 1 then map_reduce_range f op ~src:a ~lo:0 ~hi:n
     else begin
       let partials = Array.make nchunks 0.0 in
       Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:nchunks (fun k ->
-          let lo = bounds.(k) and hi = bounds.(k + 1) in
-          let chunk = Flat.sub_view a ~pos:lo ~len:(hi - lo) in
-          Array.unsafe_set partials k (map_reduce_range f op chunk ~lo:0 ~hi:(hi - lo)));
-      let rec go k acc =
-        if k >= nchunks then acc else go (k + 1) (apply2 op acc (Array.unsafe_get partials k))
-      in
-      go 1 partials.(0)
+          Array.unsafe_set partials k
+            (map_reduce_range f op ~src:a ~lo:bounds.(k) ~hi:bounds.(k + 1)));
+      let acc = ref partials.(0) in
+      for k = 1 to nchunks - 1 do
+        acc := apply2 op !acc (Array.unsafe_get partials k)
+      done;
+      !acc
     end
   in
-  (* Two-phase Blelloch scan.  Phase 1 NEVER writes the output: each chunk
-     reduces into one slot of the unboxed [partials] array.  The exclusive
-     scan of the partials is sequential over nchunks values (tiny).  Phase
-     2 downsweeps: chunk 0 scans plainly; chunk k >= 1 folds its carry
-     into its first element and scans on — every output slot is written
-     exactly once, two passes over the data in total.  [Exec.chunk_bounds]
-     never produces an empty chunk, so every chunk has a first element and
-     no option boxing is needed anywhere. *)
+  (* Two-phase Blelloch scan.  Phase 1 maps each chunk into its slots of
+     the output and reduces it into one slot of the unboxed [partials]
+     array.  The exclusive scan of the partials is sequential over nchunks
+     values (tiny).  Phase 2 scans each chunk in place: chunk 0 plainly,
+     chunk k >= 1 with its carry folded left of its first element — the
+     map runs once per element and each pass touches the data once.
+     [Exec.chunk_bounds] never produces an empty chunk, so every chunk has
+     a first element. *)
   let fmap_scan f op a =
     let n = Flat.length a in
     let out = Flat.create Flat.float64 n in
     if n > 0 then begin
       let bounds = bounds_for n in
       let nchunks = Array.length bounds - 1 in
-      if nchunks = 1 then
-        map_scan_into f op ~src:a ~dst:out ~lo:0 ~hi:n ~first:(apply1 f (Flat.get a 0))
+      if nchunks = 1 then map_scan_range f op ~src:a ~dst:out ~lo:0 ~hi:n
       else begin
-        (* Phase 1: local reduce per chunk into the partials array. *)
+        (* Phase 1: map into [out] and reduce per chunk into [partials]. *)
         let partials = Array.make nchunks 0.0 in
         Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:nchunks (fun k ->
-            let lo = bounds.(k) and hi = bounds.(k + 1) in
-            let chunk = Flat.sub_view a ~pos:lo ~len:(hi - lo) in
-            Array.unsafe_set partials k (map_reduce_range f op chunk ~lo:0 ~hi:(hi - lo)));
+            Array.unsafe_set partials k
+              (staged reduce_range ~into:out f op ~src:a ~lo:bounds.(k) ~hi:bounds.(k + 1)));
         (* Exclusive scan of the partials, in place: after this,
            partials.(k) is chunk k's carry-in (undefined at k = 0, never
            read there). *)
@@ -288,15 +341,12 @@ let on_pool pool =
           partials.(k) <- !carry;
           carry := apply2 op !carry total
         done;
-        (* Phase 2: downsweep each chunk with its carry folded into the
-           first element. *)
+        (* Phase 2: scan each chunk of mapped values in place, its carry
+           folded in. *)
         Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:nchunks (fun k ->
             let lo = bounds.(k) and hi = bounds.(k + 1) in
-            let len = hi - lo in
-            let src = Flat.sub_view a ~pos:lo ~len and dst = Flat.sub_view out ~pos:lo ~len in
-            let x0 = apply1 f (Flat.get src 0) in
-            let first = if k = 0 then x0 else apply2 op (Array.unsafe_get partials k) x0 in
-            map_scan_into f op ~src ~dst ~lo:0 ~hi:len ~first)
+            if k = 0 then ignore (scan_range op out ~lo:(lo + 1) ~hi (A.unsafe_get out lo) : float)
+            else ignore (scan_range op out ~lo ~hi (Array.unsafe_get partials k) : float))
       end
     end;
     out

@@ -1,20 +1,26 @@
 (** Flat-tier host execution backends: unboxed map/fold/scan (plus the
     fused forms) over {!Flat.float1} payloads.
 
-    The operator is a first-order description rather than a bare closure:
-    a kernel matches it once and runs a monomorphic
-    [Bigarray.Array1.unsafe_get]/[unsafe_set] loop, so the known
-    primitives execute with no per-element closure call and no
-    per-element allocation. [Fun1]/[Fun2] are the escape hatches for
+    The operator is a first-order description rather than a bare closure,
+    and a fused map run is a {!Chain} of descriptions. Each kernel maps
+    one cache block (2048 floats) at a time with monomorphic
+    [Bigarray.Array1.unsafe_get]/[unsafe_set] stage loops — a chain's
+    first stage writes the block, later stages rewrite it in place — and
+    then reduces or scans the block in a loop specialised to the
+    {!fun2}, with an unboxed accumulator. Known primitives and chains of
+    them therefore run with no per-element closure call and no
+    per-element allocation (a few words per block; the test suite pins a
+    budget of n/100 minor words). [Fun1]/[Fun2] are the escape hatches for
     arbitrary functions and pay the boxed calling convention per element.
 
-    {!on_pool} chunks by {!Flat.sub_view} (O(1), copy-free) with the
-    pool's bytes-aware grain ([Runtime.Pool.grain_for_bytes]); its scan is
-    a Blelloch-style two-phase layout — per-chunk reduce into an unboxed
-    partials array, a sequential exclusive scan of the partials, then one
-    downsweep writing each output slot exactly once. Two data passes, no
-    option boxing; the boxed three-phase scan pays a third full pass and
-    an ['a option] per chunk.
+    {!on_pool} chunks by index range with the pool's bytes-aware grain
+    ([Runtime.Pool.grain_for_bytes]); its scan is a Blelloch-style
+    two-phase layout — each chunk is mapped into the output and reduced
+    into an unboxed partials array, a sequential exclusive scan of the
+    partials gives each chunk's carry, then each chunk is scanned in
+    place. The map runs once per element, with no option boxing; the
+    boxed three-phase scan pays a third full pass and an ['a option] per
+    chunk.
 
     All loops apply operators in ascending index order and combine chunk
     results in chunk order, so on exactly-associative operators (the
@@ -27,6 +33,9 @@ type fun1 =
   | Neg
   | Scale of float  (** [fun x -> x *. c] *)
   | Offset of float  (** [fun x -> x +. c] *)
+  | Chain of fun1 list
+      (** [Chain [f1; ...; fk]] is [fk (... (f1 x))]: a fused map run,
+          applied stage by stage over a cache block *)
   | Fun1 of (float -> float)  (** escape hatch: boxed per-element call *)
 
 type fun2 =
@@ -37,6 +46,8 @@ type fun2 =
   | Fun2 of (float -> float -> float)  (** escape hatch: boxed per-element call *)
 
 val apply1 : fun1 -> float -> float
+(** Scalar meaning of a [fun1]: the specification the kernels implement. *)
+
 val apply2 : fun2 -> float -> float -> float
 val fun1_name : fun1 -> string
 val fun2_name : fun2 -> string

@@ -10,7 +10,10 @@
    name-based — the registry already guarantees one meaning per name —
    so fused closures (e.g. "fincr.fdouble") are deliberately not
    recognised: they would force a closure call per element, exactly the
-   cost the flat tier exists to avoid. *)
+   cost the flat tier exists to avoid.  A run of recognised maps is
+   fused by the host evaluator instead, as a first-order
+   [Scl.Flat_exec.Chain] of the recognised stages, which the kernels run
+   stage by stage over cache blocks with no closure call at all. *)
 
 let fun1_of (f : Fn.t) : Scl.Flat_exec.fun1 option =
   match f.Fn.name with

@@ -34,8 +34,14 @@ val eval :
     {!Flat_fns}-recognised float primitives over all-float arrays dispatch
     to the unboxed {!Scl.Flat_exec} kernels on the [?fx] backend (default
     sequential; pass [Scl.Flat_exec.on_pool] to run flat legs on the
-    pool). The flat path is bitwise-identical to the boxed path: the same
-    float operations are applied in the same order.
+    pool). A multi-map run becomes one {!Scl.Flat_exec.Chain} of its
+    stages, so the fused kernel allocates nothing per element. The value
+    is converted to flat storage in one pass that gives up at the first
+    non-[Float] element (the run then takes the boxed path), and back in
+    one sequential pass: boxing on the pool measured about 3x slower,
+    since minor collections stop every domain. The flat path is
+    bitwise-identical to the boxed path: the same float operations are
+    applied in the same order.
 
     With [~optimize:true] (default [false]) the pipeline is first rewritten
     by {!Optimizer.optimize} (cost-gated, with [~n] taken from the actual

@@ -43,6 +43,14 @@ let rec equal a b =
   | Arr x, Arr y -> Array.length x = Array.length y && Array.for_all2 equal x y
   | (Int _ | Float _ | Pair _ | Arr _), _ -> false
 
+let rec bitwise_equal a b =
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Pair (x1, y1), Pair (x2, y2) -> bitwise_equal x1 x2 && bitwise_equal y1 y2
+  | Arr x, Arr y -> Array.length x = Array.length y && Array.for_all2 bitwise_equal x y
+  | (Int _ | Float _ | Pair _ | Arr _), _ -> false
+
 let rec pp ppf = function
   | Int i -> Fmt.int ppf i
   | Float f -> Fmt.float ppf f

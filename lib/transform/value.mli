@@ -21,6 +21,10 @@ val to_int_array : t -> int array
 val equal : t -> t -> bool
 (** Structural, with relative tolerance on floats. *)
 
+val bitwise_equal : t -> t -> bool
+(** Structural and exact: floats compare by bit pattern, so [0.0] and
+    [-0.0] differ and a NaN equals only the same NaN. *)
+
 val depth : t -> int
 (** Nesting depth (0 for scalars). *)
 

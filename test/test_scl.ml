@@ -975,6 +975,43 @@ let test_flat_scan_two_phase_vs_spec () =
         (bitwise spec (Flat.to_float_array (fx.Flat_exec.fscan Flat_exec.Add fa))))
     [ 255; 256; 257; 1000; 4096; 5001 ]
 
+let test_flat_chain_across_blocks () =
+  (* A [Chain] is staged stage by stage over 2048-float blocks, and the
+     pool scan stores mapped values in phase 1 and scans them in place in
+     phase 2.  Against the boxed skeletons over the composed closure, at
+     sizes on, around and across block and chunk boundaries. *)
+  let chain = Flat_exec.Chain [ Flat_exec.Offset 1.0; Flat_exec.Scale 2.0; Flat_exec.Neg ] in
+  let g x = -.((x +. 1.0) *. 2.0) in
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun i -> float_of_int ((i * 7919 mod 4096) - 2048) *. 0.25) in
+      let fa = Flat.of_float_array a in
+      let pa = Par_array.of_array a in
+      List.iter
+        (fun ((fx : Flat_exec.t), exec) ->
+          let open Flat_exec in
+          let label what = Printf.sprintf "%s %s n=%d" fx.name what n in
+          Alcotest.(check bool)
+            (label "chain fmap") true
+            (bitwise
+               (Par_array.to_array (Elementary.map ~exec g pa))
+               (Flat.to_float_array (fx.fmap chain fa)));
+          List.iter
+            (fun (op, f) ->
+              Alcotest.(check bool)
+                (label ("chain fmap_scan " ^ fun2_name op))
+                true
+                (bitwise
+                   (Par_array.to_array (Elementary.map_scan ~exec f g pa))
+                   (Flat.to_float_array (fx.fmap_scan chain op fa)));
+              Alcotest.(check bool)
+                (label ("chain fmap_fold " ^ fun2_name op))
+                true
+                (Float.equal (Elementary.map_fold ~exec f g pa) (fx.fmap_fold chain op fa)))
+            [ (Add, ( +. )); (Max, Float.max); (Min, Float.min) ])
+        (List.combine (Lazy.force flat_backends) [ Exec.sequential; Lazy.force pexec ]))
+    [ 1; 2047; 2048; 2049; (3 * 2048) + 5; 100_003 ]
+
 let test_flat_scan_minor_words () =
   (* The acceptance pin for the bench pair host/{boxed,flat}-scan: the
      flat leg must allocate strictly fewer minor words. Sequential
@@ -1004,6 +1041,48 @@ let test_flat_scan_minor_words () =
        boxed_words)
     true
     (flat_words < boxed_words)
+
+let test_flat_kernels_allocation_free () =
+  (* Every flat kernel on the sequential backend, for every primitive map
+     (plus a 3-stage [Chain]) and every primitive combine, allocates O(1)
+     minor words per call, not per element: maps are staged through a
+     block buffer by monomorphic loops and accumulators stay unboxed.
+     Budget: n/100 words at n = 100k, where one boxed float per element
+     would cost 2n.  The float-array conversions on either side of the
+     tier are held to the same budget. *)
+  let n = 100_000 in
+  let a = Array.init n (fun i -> float_of_int ((i * 7919 mod 4096) - 2048) *. 0.25) in
+  let fa = Flat.of_float_array a in
+  let fx = Flat_exec.sequential in
+  let open Flat_exec in
+  let maps = [ Id; Neg; Scale 0.5; Offset 1.0; Chain [ Offset 1.0; Scale 2.0; Scale 0.5 ] ] in
+  let ops = [ Add; Mul; Max; Min ] in
+  let budget = float_of_int n /. 100.0 in
+  let check label run =
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f minor words < %.0f" label words budget)
+      true (words < budget)
+  in
+  check "Flat.of_float_array" (fun () -> ignore (Flat.of_float_array a : Flat.float1));
+  check "Flat.to_float_array" (fun () -> ignore (Flat.to_float_array fa : float array));
+  List.iter
+    (fun f -> check ("fmap " ^ fun1_name f) (fun () -> ignore (fx.fmap f fa : Flat.float1)))
+    maps;
+  List.iter
+    (fun op ->
+      check ("ffold " ^ fun2_name op) (fun () -> ignore (fx.ffold op fa : float));
+      check ("fscan " ^ fun2_name op) (fun () -> ignore (fx.fscan op fa : Flat.float1));
+      List.iter
+        (fun f ->
+          let name = fun1_name f ^ " " ^ fun2_name op in
+          check ("fmap_fold " ^ name) (fun () -> ignore (fx.fmap_fold f op fa : float));
+          check ("fmap_scan " ^ name) (fun () -> ignore (fx.fmap_scan f op fa : Flat.float1)))
+        maps)
+    ops
 
 (* --- Exec internals --------------------------------------------------------------- *)
 
@@ -1164,8 +1243,12 @@ let () =
           prop_flat_exec_bitwise;
           Alcotest.test_case "edge sizes 0..7 (both backends)" `Quick test_flat_exec_edge_sizes;
           Alcotest.test_case "two-phase scan = prefix spec" `Quick test_flat_scan_two_phase_vs_spec;
+          Alcotest.test_case "chain kernels across staging blocks" `Quick
+            test_flat_chain_across_blocks;
           Alcotest.test_case "flat scan allocates fewer minor words" `Quick
             test_flat_scan_minor_words;
+          Alcotest.test_case "flat kernels allocate nothing per element" `Quick
+            test_flat_kernels_allocation_free;
         ] );
       ( "exec",
         [

@@ -903,36 +903,70 @@ let test_codegen_flat_rejects () =
     (flat_ok (Parser.parse_exn flat_pipeline_src))
 
 (* The Host_exec flat fast path (seq and pool fx backends) must be
-   bitwise-identical to the reference interpreter on dyadic float data. *)
+   bitwise-identical to the reference interpreter on dyadic float data:
+   [Value.bitwise_equal] compares float bit patterns, not within a
+   tolerance.  Sizes cross several pool chunks and several 2048-float
+   staging blocks with ragged tails. *)
 let test_host_flat_bitwise () =
-  let e = Parser.parse_exn flat_pipeline_src in
-  let scan_e = Parser.parse_exn "scan fadd . map fdouble . map fneg" in
-  let data = Array.init 1003 (fun i -> float_of_int ((i * 37 mod 512) - 256) *. 0.25) in
-  let v = Value.Arr (Array.map (fun x -> Value.Float x) data) in
-  let check_pipeline label e =
-    let expected = Ast.eval e v in
-    let seq = Host_exec.eval e v in
-    Alcotest.(check bool) (label ^ ": flat seq = reference") true (Value.equal expected seq);
-    let pool = Runtime.Pool.create ~num_domains:2 () in
-    Fun.protect
-      ~finally:(fun () -> Runtime.Pool.teardown pool)
-      (fun () ->
-        let got =
-          Host_exec.eval ~exec:(Scl.Exec.on_pool pool) ~fx:(Scl.Flat_exec.on_pool pool) e v
-        in
-        Alcotest.(check bool) (label ^ ": flat pool = reference") true (Value.equal expected got))
+  let pipelines =
+    [
+      ("fold pipeline", flat_pipeline_src);
+      ("scan pipeline", "scan fadd . map fdouble . map fneg");
+      ("benchmark chain", "scan fadd . map fhalve . map fdouble . map fincr");
+      ("benchmark chain, fold", "fold fadd . map fhalve . map fdouble . map fincr");
+      ("chain, max scan", "scan fmax . map fneg . map fincr");
+    ]
   in
-  check_pipeline "fold pipeline" e;
-  check_pipeline "scan pipeline" scan_e;
-  (* edge sizes through the flat dispatch, including empty scans *)
-  List.iter
-    (fun n ->
-      let v = Value.Arr (Array.init n (fun i -> Value.Float (float_of_int i))) in
-      Alcotest.(check bool)
-        (Printf.sprintf "scan pipeline n=%d" n)
-        true
-        (Value.equal (Ast.eval scan_e v) (Host_exec.eval scan_e v)))
-    [ 0; 1; 2; 3; 7 ]
+  let data n = Array.init n (fun i -> float_of_int ((i * 37 mod 512) - 256) *. 0.25) in
+  let floats n = Value.Arr (Array.map (fun x -> Value.Float x) (data n)) in
+  (* the result or the exception message, so failing runs compare too *)
+  let outcome f = match f () with v -> Ok v | exception Value.Type_error m -> Error m in
+  let same a b =
+    match (a, b) with
+    | Ok x, Ok y -> Value.bitwise_equal x y
+    | Error m, Error m' -> String.equal m m'
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  let pool = Runtime.Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Pool.teardown pool)
+    (fun () ->
+      let backends =
+        [
+          ("seq", fun e v -> Host_exec.eval e v);
+          ( "pool",
+            fun e v ->
+              Host_exec.eval ~exec:(Scl.Exec.on_pool pool) ~fx:(Scl.Flat_exec.on_pool pool) e v
+          );
+        ]
+      in
+      let check label e v =
+        let expected = outcome (fun () -> Ast.eval e v) in
+        List.iter
+          (fun (bname, run) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: flat %s = reference" label bname)
+              true
+              (same expected (outcome (fun () -> run e v))))
+          backends
+      in
+      List.iter
+        (fun (name, src) ->
+          let e = Parser.parse_exn src in
+          List.iter
+            (fun n -> check (Printf.sprintf "%s n=%d" name n) e (floats n))
+            [ 0; 1; 2; 3; 7; 1003; (3 * 2048) + 5; 100_003 ];
+          (* a float array whose last element is an Int leaves the flat
+             path at that element and must fail exactly as the reference
+             does *)
+          let a = Value.as_arr (floats 4101) in
+          a.(4100) <- Value.Int 1;
+          Alcotest.(check bool)
+            (name ^ " with a trailing Int: reference raises")
+            true
+            (Result.is_error (outcome (fun () -> Ast.eval e (Value.Arr a))));
+          check (name ^ " with a trailing Int") e (Value.Arr a))
+        pipelines)
 
 let test_cost_flat_discount () =
   let float_e = Parser.parse_exn "fold fadd . scan fadd . map fdouble" in

@@ -74,11 +74,13 @@
                             and every solution float) to the simulator
                             at the same process count: p = 3 for jacobi
                             and cg, p = 4 for heat2d.  Also
-                            the host-flat legs: the unboxed Flat_exec
-                            kernels (sequential and pool) vs the boxed
-                            Scl skeletons, the Host_exec flat fast path
-                            vs the reference interpreter — all
-                            bitwise, on dyadic data.  And the sort
+                            the host-flat legs at up to 4 staging
+                            blocks (8192 floats): the unboxed Flat_exec
+                            kernels (sequential and pool, primitive maps
+                            and a 3-stage Chain) vs the boxed Scl
+                            skeletons, the Host_exec flat fast path vs
+                            the reference interpreter — all bitwise, on
+                            dyadic data.  And the sort
                             kernel: Seq_kernels.quicksort vs Array.sort
                             on full-range keys (both signs, min_int and
                             max_int, top-digit-only keys, heavy
@@ -661,10 +663,13 @@ let () =
             (r1.Algorithms.Heat2d.iterations, Array.concat (Array.to_list r1.Algorithms.Heat2d.solution)));
       (* host-flat legs: the unboxed Flat_exec kernels (sequential and
          pool) against the boxed Scl skeletons, and the Host_exec flat
-         fast path against the reference interpreter.  Dyadic data keeps
-         parallel fadd reassociation exact, so every comparison is
-         bitwise. *)
-      let fn = 1 + Runtime.Xoshiro.int shape 64 in
+         fast path against the reference interpreter.  Sizes reach a few
+         2048-float staging blocks, so the pool's multi-chunk scan (grain
+         floor 256 floats) and ragged block tails are both drawn.  Dyadic
+         data keeps parallel fadd reassociation exact, so every comparison
+         is bitwise: [Float.equal] on kernel outputs, float bit patterns
+         ([Value.bitwise_equal]) on pipeline values. *)
+      let fn = 1 + Runtime.Xoshiro.int shape 8192 in
       let fdata =
         Array.init fn (fun _ -> float_of_int (Runtime.Xoshiro.int rng 4096 - 2048) *. 0.25)
       in
@@ -673,11 +678,16 @@ let () =
         (fun () ->
           let pa = Scl.Par_array.of_array fdata in
           let fa = Scl.Flat.of_float_array fdata in
+          let chain = Scl.Flat_exec.(Chain [ Offset 1.0; Scale 2.0; Scale 0.5 ]) in
+          let chained x = (x +. 1.0) *. 2.0 *. 0.5 in
           let boxed_map = Scl.Par_array.to_array (Scl.map (fun x -> x *. 2.0) pa) in
           let boxed_fold = Scl.fold ( +. ) pa in
           let boxed_scan = Scl.Par_array.to_array (Scl.scan ( +. ) pa) in
           let boxed_mf = Scl.map_fold ( +. ) (fun x -> x +. 1.0) pa in
           let boxed_ms = Scl.Par_array.to_array (Scl.map_scan ( +. ) (fun x -> x *. 0.5) pa) in
+          let boxed_chain_map = Scl.Par_array.to_array (Scl.map chained pa) in
+          let boxed_chain_mf = Scl.map_fold ( +. ) chained pa in
+          let boxed_chain_ms = Scl.Par_array.to_array (Scl.map_scan ( +. ) chained pa) in
           let pool = Runtime.Pool.create ~num_domains:2 () in
           Fun.protect
             ~finally:(fun () -> Runtime.Pool.teardown pool)
@@ -688,48 +698,81 @@ let () =
                   | Some _ -> acc
                   | None ->
                       let open Scl.Flat_exec in
-                      if
-                        not
-                          (vec_bitwise (Scl.Flat.to_float_array (fx.fmap (Scale 2.0) fa)) boxed_map)
-                      then Some (bname ^ ": fmap differs from boxed map")
-                      else if not (Float.equal (fx.ffold Add fa) boxed_fold) then
-                        Some (bname ^ ": ffold differs from boxed fold")
-                      else if
-                        not (vec_bitwise (Scl.Flat.to_float_array (fx.fscan Add fa)) boxed_scan)
-                      then Some (bname ^ ": fscan differs from boxed scan")
-                      else if not (Float.equal (fx.fmap_fold (Offset 1.0) Add fa) boxed_mf) then
-                        Some (bname ^ ": fmap_fold differs from boxed map_fold")
-                      else if
-                        not
-                          (vec_bitwise
-                             (Scl.Flat.to_float_array (fx.fmap_scan (Scale 0.5) Add fa))
-                             boxed_ms)
-                      then Some (bname ^ ": fmap_scan differs from boxed map_scan")
-                      else None)
+                      let legs =
+                        [
+                          ( "fmap differs from boxed map",
+                            fun () -> vec_bitwise (Scl.Flat.to_float_array (fx.fmap (Scale 2.0) fa)) boxed_map );
+                          ("ffold differs from boxed fold", fun () -> Float.equal (fx.ffold Add fa) boxed_fold);
+                          ( "fscan differs from boxed scan",
+                            fun () -> vec_bitwise (Scl.Flat.to_float_array (fx.fscan Add fa)) boxed_scan );
+                          ( "fmap_fold differs from boxed map_fold",
+                            fun () -> Float.equal (fx.fmap_fold (Offset 1.0) Add fa) boxed_mf );
+                          ( "fmap_scan differs from boxed map_scan",
+                            fun () ->
+                              vec_bitwise (Scl.Flat.to_float_array (fx.fmap_scan (Scale 0.5) Add fa)) boxed_ms );
+                          ( "chain fmap differs from the boxed composed map",
+                            fun () ->
+                              vec_bitwise (Scl.Flat.to_float_array (fx.fmap chain fa)) boxed_chain_map );
+                          ( "chain fmap_fold differs from the boxed composed map_fold",
+                            fun () -> Float.equal (fx.fmap_fold chain Add fa) boxed_chain_mf );
+                          ( "chain fmap_scan differs from the boxed composed map_scan",
+                            fun () ->
+                              vec_bitwise (Scl.Flat.to_float_array (fx.fmap_scan chain Add fa)) boxed_chain_ms );
+                        ]
+                      in
+                      List.find_map
+                        (fun (what, ok) -> if ok () then None else Some (bname ^ ": " ^ what))
+                        legs)
                 None
                 [ ("seq", Scl.Flat_exec.sequential); ("pool", Scl.Flat_exec.on_pool pool) ]));
       add
         (Printf.sprintf "host-exec flat pipeline = reference n=%d seed=%d" fn case_seed)
         (fun () ->
-          let e =
-            Transform.Parser.parse_exn "fold fadd . map fdouble . scan fadd . map fhalve . map fincr"
+          let floats = Array.map (fun x -> Transform.Value.Float x) fdata in
+          (* the same floats ending in an Int: the flat conversion gives up
+             at the last element and the boxed path must fail as the
+             reference does *)
+          let int_tail = Array.copy floats in
+          int_tail.(fn - 1) <- Transform.Value.Int 1;
+          let outcome f =
+            match f () with v -> Ok v | exception Transform.Value.Type_error m -> Error m
           in
-          let v = Transform.Value.Arr (Array.map (fun x -> Transform.Value.Float x) fdata) in
-          let expected = Transform.Ast.eval e v in
+          let same a b =
+            match (a, b) with
+            | Ok x, Ok y -> Transform.Value.bitwise_equal x y
+            | Error m, Error m' -> String.equal m m'
+            | Ok _, Error _ | Error _, Ok _ -> false
+          in
           let pool = Runtime.Pool.create ~num_domains:2 () in
           Fun.protect
             ~finally:(fun () -> Runtime.Pool.teardown pool)
             (fun () ->
-              let host_seq = Transform.Host_exec.eval e v in
-              let host_pool =
-                Transform.Host_exec.eval ~exec:(Scl.Exec.on_pool pool)
-                  ~fx:(Scl.Flat_exec.on_pool pool) e v
-              in
-              if not (Transform.Value.equal expected host_seq) then
-                Some "host flat (seq) differs from reference"
-              else if not (Transform.Value.equal expected host_pool) then
-                Some "host flat (pool) differs from reference"
-              else None));
+              List.find_map
+                (fun (src, (vname, v)) ->
+                  let e = Transform.Parser.parse_exn src in
+                  let expected = outcome (fun () -> Transform.Ast.eval e v) in
+                  let host_seq = outcome (fun () -> Transform.Host_exec.eval e v) in
+                  let host_pool =
+                    outcome (fun () ->
+                        Transform.Host_exec.eval ~exec:(Scl.Exec.on_pool pool)
+                          ~fx:(Scl.Flat_exec.on_pool pool) e v)
+                  in
+                  if not (same expected host_seq) then
+                    Some (Printf.sprintf "%s on %s: host flat (seq) differs from reference" src vname)
+                  else if not (same expected host_pool) then
+                    Some (Printf.sprintf "%s on %s: host flat (pool) differs from reference" src vname)
+                  else None)
+                (List.concat_map
+                   (fun src ->
+                     [
+                       (src, ("floats", Transform.Value.Arr floats));
+                       (src, ("floats with an Int tail", Transform.Value.Arr int_tail));
+                     ])
+                   [
+                     "fold fadd . map fdouble . scan fadd . map fhalve . map fincr";
+                     "scan fadd . map fhalve . map fdouble . map fincr";
+                     "fold fadd . map fhalve . map fdouble . map fincr";
+                   ])));
       (* the radix sort behind SEQ_QUICKSORT on full-range keys: random
          63-bit draws of either sign, keys that differ only in the top
          digit (bits 56-62, sign bit included), and heavy duplicates of

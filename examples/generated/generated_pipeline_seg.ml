@@ -7,7 +7,7 @@
 
 let run_pipeline_seg ?(cost = Machine.Cost_model.ap1000) ~procs (input : int array) :
     int * Machine.Sim.stats =
-  Scl_sim.Spmd.run_collect ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ~cost ()) ~procs (fun comm ->
       let dv0 =
         Scl_sim.Dvec.scatter comm ~root:0
           (if Machine.Comm.rank comm = 0 then Some input else None)

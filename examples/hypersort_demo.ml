@@ -28,79 +28,65 @@ let engine =
   in
   find (Array.to_list Sys.argv)
 
-let run_multicore () =
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
-  Format.printf "=== Hyperquicksort on 4 real OCaml domains (multicore engine) ===@.@.";
-  Format.printf "unsorted input on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int data)));
-  let sorted, stats = Algorithms.Hyperquicksort.sort_multicore ~procs:4 data in
-  Format.printf "sorted result gathered on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
-  Format.printf "wall clock: %.6f s on %d domain(s); %d messages, %d sleeps@."
-    stats.Machine.Multicore.wall stats.Machine.Multicore.domains_used
-    stats.Machine.Multicore.total_msgs stats.Machine.Multicore.sleeps;
-  let check = Array.copy data in
-  Array.sort compare check;
-  assert (sorted = check);
-  Format.printf "verified against sequential sort. ok.@."
+let show a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
-let run_procs () =
+(* One program, three engines: [--engine] only picks the backend; the
+   stats type (and so the report) follows from it. *)
+let run (type s) (backend : s Scl_sim.Spmd.backend) =
   let rng = Runtime.Xoshiro.of_seed 1995 in
   let data = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
-  Format.printf "=== Hyperquicksort on 4 forked OS processes (procs engine) ===@.@.";
-  Format.printf "unsorted input on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int data)));
-  let sorted, stats = Algorithms.Hyperquicksort.sort_procs ~procs:4 data in
-  Format.printf "sorted result gathered on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
-  Format.printf "wall clock: %.6f s on %d process(es); %d messages over the sockets@."
-    stats.Machine.Procs.wall stats.Machine.Procs.procs_used stats.Machine.Procs.total_msgs;
+  Format.printf "=== Hyperquicksort on %s ===@.@."
+    (match backend with
+    | Scl_sim.Spmd.Sim _ -> "a 2-dimensional hypercube (Figure 2)"
+    | Scl_sim.Spmd.Multicore _ -> "4 real OCaml domains (multicore engine)"
+    | Scl_sim.Spmd.Procs -> "4 forked OS processes (procs engine)");
+  Format.printf "unsorted input on rank 0:@.  [%s]@.@." (show data);
+  let sorted, (stats : s) = Algorithms.Hyperquicksort.sort backend ~procs:4 data in
+  (match backend with
+  | Scl_sim.Spmd.Sim { trace = Some trace; _ } ->
+      let last_proc = ref (-1) in
+      List.iter
+        (fun (time, proc, msg) ->
+          if proc <> !last_proc then Format.printf "@.";
+          last_proc := proc;
+          Format.printf "[t=%8.6fs] p%d  %s@." time proc msg)
+        (Machine.Trace.notes trace);
+      Format.printf "@."
+  | _ -> ());
+  Format.printf "sorted result gathered on rank 0:@.  [%s]@.@." (show sorted);
+  (match backend with
+  | Scl_sim.Spmd.Sim { trace; _ } -> (
+      Format.printf "simulated makespan: %.6f s on the AP1000 cost model@."
+        stats.Machine.Sim.makespan;
+      Format.printf "messages: %d (%d bytes), barrier-free (pairwise exchanges only)@."
+        stats.Machine.Sim.total_msgs stats.Machine.Sim.total_bytes;
+      match trace with
+      | Some trace -> (
+          Format.printf "@.timeline:@.%a@.@." (Machine.Trace.pp_gantt ~width:72) trace;
+          match chrome_out with
+          | Some path ->
+              Machine.Trace.write_chrome path trace;
+              Format.printf "chrome trace written to %s (load in chrome://tracing or Perfetto)@.@."
+                path
+          | None -> ())
+      | None -> ())
+  | Scl_sim.Spmd.Multicore _ ->
+      Format.printf "wall clock: %.6f s on %d domain(s); %d messages, %d sleeps@."
+        stats.Machine.Multicore.wall stats.Machine.Multicore.domains_used
+        stats.Machine.Multicore.total_msgs stats.Machine.Multicore.sleeps
+  | Scl_sim.Spmd.Procs ->
+      Format.printf "wall clock: %.6f s on %d process(es); %d messages over the sockets@."
+        stats.Machine.Procs.wall stats.Machine.Procs.procs_used stats.Machine.Procs.total_msgs);
   let check = Array.copy data in
   Array.sort compare check;
   assert (sorted = check);
   Format.printf "verified against sequential sort. ok.@."
 
 let () =
-  (match engine with
-  | "multicore" ->
-      run_multicore ();
-      exit 0
-  | "procs" ->
-      run_procs ();
-      exit 0
-  | "sim" -> ()
+  match engine with
+  | "sim" -> run (Scl_sim.Spmd.sim ~trace:(Machine.Trace.create ()) ())
+  | "multicore" -> run (Scl_sim.Spmd.multicore ())
+  | "procs" -> run Scl_sim.Spmd.Procs
   | other ->
       Format.eprintf "unknown --engine %S (expected sim, multicore or procs)@." other;
-      exit 2);
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
-  Format.printf "=== Hyperquicksort on a 2-dimensional hypercube (Figure 2) ===@.@.";
-  Format.printf "unsorted input on processor 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int data)));
-  (* A second, instrumented run for the timeline picture. *)
-  let trace = Machine.Trace.create () in
-  let _ = Algorithms.Hyperquicksort.sort_sim ~trace ~procs:4 data in
-  let sorted, stats, notes = Algorithms.Hyperquicksort.sort_sim_traced ~procs:4 data in
-  let last_proc = ref (-1) in
-  List.iter
-    (fun (time, proc, msg) ->
-      if proc <> !last_proc then Format.printf "@.";
-      last_proc := proc;
-      Format.printf "[t=%8.6fs] p%d  %s@." time proc msg)
-    notes;
-  Format.printf "@.sorted result gathered on processor 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
-  Format.printf "simulated makespan: %.6f s on the AP1000 cost model@." stats.Machine.Sim.makespan;
-  Format.printf "messages: %d (%d bytes), barrier-free (pairwise exchanges only)@."
-    stats.Machine.Sim.total_msgs stats.Machine.Sim.total_bytes;
-  Format.printf "@.timeline:@.%a@.@." (Machine.Trace.pp_gantt ~width:72) trace;
-  (match chrome_out with
-  | Some path ->
-      Machine.Trace.write_chrome path trace;
-      Format.printf "chrome trace written to %s (load in chrome://tracing or Perfetto)@.@." path
-  | None -> ());
-  let check = Array.copy data in
-  Array.sort compare check;
-  assert (sorted = check);
-  Format.printf "verified against sequential sort. ok.@."
+      exit 2

@@ -54,5 +54,5 @@ let sort_sim ?(cost = Cost_model.ap1000) ?trace ~procs (data : int array) :
     invalid_arg "Bitonic.sort_sim: processor count must be a power of two";
   if Array.exists (fun x -> x = sentinel) data then
     invalid_arg "Bitonic.sort_sim: max_int keys are reserved as padding sentinels";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology:Topology.Hypercube ~procs (fun comm ->
-      bitonic_program (if Comm.rank comm = 0 then Some data else None) comm)
+  Scl_sim.Spmd.run ~topology:Topology.Hypercube (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs
+    (fun comm -> bitonic_program (if Comm.rank comm = 0 then Some data else None) comm)

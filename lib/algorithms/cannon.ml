@@ -113,36 +113,16 @@ let cannon_program ~n ~q (ab : block option) (bb : block option) (comm : Comm.t)
       Some (of_blocks pa)
   | None -> None
 
-let multiply_sim ?(cost = Cost_model.ap1000) ?trace ~grid (a : float array array)
-    (b : float array array) : float array array * Sim.stats =
-  let n = check_square_divisible "Cannon.multiply_sim" a grid in
-  let n' = check_square_divisible "Cannon.multiply_sim" b grid in
-  if n <> n' then invalid_arg "Cannon.multiply_sim: dimension mismatch";
+(* The torus is the program's shape: every shift is a single-hop
+   neighbour message. *)
+let multiply backend ~grid (a : float array array) (b : float array array) =
+  let n = check_square_divisible "Cannon.multiply" a grid in
+  let n' = check_square_divisible "Cannon.multiply" b grid in
+  if n <> n' then invalid_arg "Cannon.multiply: dimension mismatch";
   let q = grid in
-  Sim.run_collect ?trace
-    { Sim.procs = q * q; topology = Topology.Torus2d (q, q); cost }
-    (fun ctx ->
-      let comm = Comm.world (Engine.of_sim ctx) in
+  Scl_sim.Spmd.run ~topology:(Topology.Torus2d (q, q)) backend ~procs:(q * q) (fun comm ->
       let root = Comm.rank comm = 0 in
-      cannon_program ~n ~q
-        (if root then Some a else None)
-        (if root then Some b else None)
-        comm)
-
-let multiply_multicore ?domains ~grid (a : float array array) (b : float array array) :
-    float array array * Multicore.stats =
-  let n = check_square_divisible "Cannon.multiply_multicore" a grid in
-  let n' = check_square_divisible "Cannon.multiply_multicore" b grid in
-  if n <> n' then invalid_arg "Cannon.multiply_multicore: dimension mismatch";
-  let q = grid in
-  Multicore.run_collect ?domains ~topology:(Topology.Torus2d (q, q)) ~procs:(q * q)
-    (fun eng ->
-      let comm = Comm.world eng in
-      let root = Comm.rank comm = 0 in
-      cannon_program ~n ~q
-        (if root then Some a else None)
-        (if root then Some b else None)
-        comm)
+      cannon_program ~n ~q (if root then Some a else None) (if root then Some b else None) comm)
 
 let random_matrix ~seed n =
   let rng = Runtime.Xoshiro.of_seed seed in

@@ -3,8 +3,6 @@
     followed by q rounds of multiply-accumulate and unit block rotations on
     a q × q grid. *)
 
-open Machine
-
 type block = float array array
 
 val multiply_scl :
@@ -13,23 +11,16 @@ val multiply_scl :
     @raise Invalid_argument unless both matrices are n×n with [grid]
     dividing n. *)
 
-val multiply_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
+val multiply :
+  's Scl_sim.Spmd.backend ->
   grid:int ->
   float array array ->
   float array array ->
-  float array array * Sim.stats
-(** Simulator rendering on a grid×grid torus (single-hop neighbour
-    shifts). *)
-
-val multiply_multicore :
-  ?domains:int ->
-  grid:int ->
-  float array array ->
-  float array array ->
-  float array array * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical product. *)
+  float array array * 's
+(** The SPMD rendering on a grid×grid torus (single-hop neighbour
+    shifts), on any engine; the product is identical on every engine.
+    @raise Invalid_argument unless both matrices are n×n with [grid]
+    dividing n. *)
 
 val random_matrix : seed:int -> int -> float array array
 

@@ -155,14 +155,8 @@ let cg_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option) (com
     (fun solution -> { solution; iterations = !it; residual_norm = sqrt !rr })
     gathered
 
-let solve_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-10) ?(max_iter = 10_000) ~procs
-    (b : float array) : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      cg_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
-
-let solve_multicore ?domains ?(tol = 1e-10) ?(max_iter = 10_000) ~procs (b : float array) :
-    result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
+let solve ?(tol = 1e-10) ?(max_iter = 10_000) backend ~procs (b : float array) =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       cg_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
 
 (* The residual check used by tests. *)

@@ -2,7 +2,6 @@
     the reduction-heavy iterative solver: two allreduced dot products
     (fold) plus a neighbour stencil (matvec) per iteration. *)
 
-open Machine
 
 type result = { solution : float array; iterations : int; residual_norm : float }
 
@@ -13,19 +12,10 @@ val solve_scl : ?exec:Scl.Exec.t -> ?tol:float -> ?max_iter:int -> float array -
 (** Host-SCL rendering (dot = zip_with + fold, matvec = imap); iteration
     counts match {!solve_seq}. *)
 
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  result * Sim.stats
-
-val solve_multicore :
-  ?domains:int -> ?tol:float -> ?max_iter:int -> procs:int -> float array -> result * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical solution and
-    iteration count to {!solve_sim}. *)
+val solve :
+  ?tol:float -> ?max_iter:int -> 's Scl_sim.Spmd.backend -> procs:int -> float array -> result * 's
+(** The SPMD rendering on any engine; identical solution and iteration
+    count on every engine. *)
 
 val laplacian_matvec : float array -> float array
 val residual_inf : float array -> float array -> float

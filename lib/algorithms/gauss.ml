@@ -99,7 +99,7 @@ let solve_sim ?(cost = Cost_model.ap1000) ?trace ~procs (a : float array array)
     (b : float array) : float array * Sim.stats =
   if Array.length a = 0 then invalid_arg "Gauss.solve_sim: empty system";
   let cols = augment a b in
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs (fun comm ->
       gauss_program (if Comm.rank comm = 0 then Some cols else None) comm)
 
 (* Well-conditioned random test systems: diagonally dominant matrices. *)

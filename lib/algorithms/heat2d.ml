@@ -171,20 +171,10 @@ let heat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array optio
       Some { solution; iterations = conv.iterations; final_diff = conv.final_residual }
   | None -> None
 
-let solve_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-7) ?(max_iter = 50_000) ~procs
-    (f : float array array) : result * Sim.stats =
+let solve ?(tol = 1e-7) ?(max_iter = 50_000) backend ~procs (f : float array array) =
   let n = Array.length f in
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve_sim: non-square grid") f;
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      heat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
-
-let solve_multicore ?domains ?(tol = 1e-7) ?(max_iter = 50_000) ~procs (f : float array array)
-    : result * Multicore.stats =
-  let n = Array.length f in
-  Array.iter
-    (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve_multicore: non-square grid")
-    f;
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
+  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve: non-square grid") f;
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       heat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
 
 (* Manufactured solution used by the tests: f = 2 pi^2 sin(pi x) sin(pi y)

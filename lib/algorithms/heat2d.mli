@@ -3,7 +3,6 @@
     [rotate_row]/[rotate_col] halo movement on the host, and Dmat halo
     exchange on the simulated torus. *)
 
-open Machine
 
 type result = { solution : float array array; iterations : int; final_diff : float }
 
@@ -16,22 +15,17 @@ val solve_scl :
     counts match {!solve_seq} exactly.
     @raise Invalid_argument unless [grid] divides the dimension. *)
 
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
+val solve :
   ?tol:float ->
   ?max_iter:int ->
+  's Scl_sim.Spmd.backend ->
   procs:int ->
   float array array ->
-  result * Sim.stats
-(** Simulator rendering ([procs] must be a perfect square whose side
-    divides the dimension): halo exchange + stencil sweep + allreduce per
-    iteration. *)
-
-val solve_multicore :
-  ?domains:int -> ?tol:float -> ?max_iter:int -> procs:int -> float array array -> result * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical solution and
-    iteration count to {!solve_sim}. *)
+  result * 's
+(** The SPMD rendering on any engine ([procs] must be a perfect square
+    whose side divides the dimension): halo exchange + stencil sweep +
+    allreduce per iteration. Identical solution and iteration count on
+    every engine. *)
 
 val manufactured_f : int -> float array array
 (** f = 2π² sin(πx) sin(πy), whose exact solution is

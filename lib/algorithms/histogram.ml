@@ -84,5 +84,5 @@ let histogram_program ~buckets ~lo ~hi (xs : float array option) (comm : Comm.t)
 let histogram_sim ?(cost = Cost_model.ap1000) ?trace ~procs ~buckets ~lo ~hi
     (xs : float array) : int array * Sim.stats =
   check_args ~buckets ~lo ~hi;
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs (fun comm ->
       histogram_program ~buckets ~lo ~hi (if Comm.rank comm = 0 then Some xs else None) comm)

@@ -6,9 +6,10 @@
       exchange via fetch.
    2. [sort_flat]      — the Section 5 flattened iterative SPMD program
       (the output of the flattening transformation), using iterFor.
-   3. [sort_sim]       — the skeleton implementation templates instantiated
-      on the simulated distributed-memory machine; regenerates the paper's
-      Table 1 / Figure 3 experiment.
+   3. [sort]           — the skeleton implementation templates as one SPMD
+      program, run on any engine through [Spmd.run]; on the simulated
+      distributed-memory machine it regenerates the paper's Table 1 /
+      Figure 3 experiment.
 
    Robustness extension beyond the paper: when a group leader holds no data
    (possible for skewed inputs), the pivot is taken from the first
@@ -104,16 +105,16 @@ let sort_flat ?(exec = Exec.sequential) ~dims (a : int array) : int array =
   let final = Computational.iter_for dims step da in
   Array.concat (Par_array.to_list final)
 
-(* --- 3. simulated distributed-memory machine ----------------------------- *)
+(* --- 3. SPMD program, any engine ------------------------------------------ *)
 
 open Machine
 
-(* One processor's SPMD program.  [verbose] adds trace notes used to
-   regenerate the paper's Figure 2. *)
-let hqs_program ~verbose (data : int array option) (comm : Comm.t) : int array option =
+(* One processor's SPMD program.  Its [Comm.note]s narrate each stage —
+   the paper's Figure 2; only an enabled simulator trace records them. *)
+let hqs_program (data : int array option) (comm : Comm.t) : int array option =
   let p = Comm.size comm in
   let d = log2_exact p in
-  let say fmt = Printf.ksprintf (fun s -> if verbose then Comm.note comm s) fmt in
+  let say fmt = Printf.ksprintf (Comm.note comm) fmt in
   let show a =
     if Array.length a <= 40 then
       "[" ^ String.concat " " (Array.to_list (Array.map string_of_int a)) ^ "]"
@@ -161,39 +162,17 @@ let hqs_program ~verbose (data : int array option) (comm : Comm.t) : int array o
   let result = Comm.gather comm ~root:0 !local in
   Option.map (fun chunks -> Array.concat (Array.to_list chunks)) result
 
-let sort_sim ?(cost = Cost_model.ap1000) ?trace ?(topology = Topology.Hypercube) ~procs
-    (data : int array) : int array * Sim.stats =
+(* The algorithm's exchange pattern is a hypercube, so that is the
+   default topology; a topology in a sim backend only reprices the hops.
+   On multicore [Comm.work_flops] is a no-op, the local quicksort/merge
+   kernels are the actual work, and messages move zero-copy between
+   domains; on procs the input reaches every child by fork and the
+   portions cross the sockets by [Marshal]. *)
+let sort backend ~procs (data : int array) =
   if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_sim: processor count must be a power of two";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology ~procs (fun comm ->
-      hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
+    invalid_arg "Hyperquicksort.sort: processor count must be a power of two";
+  Scl_sim.Spmd.run ~topology:Topology.Hypercube backend ~procs (fun comm ->
+      hqs_program (if Comm.rank comm = 0 then Some data else None) comm)
 
-(* The same program body on real domains: the engine-parametric payoff.
-   [Comm.work_flops] becomes a no-op, the local quicksort/merge kernels are
-   the actual work, and messages move zero-copy between domains. *)
-let sort_multicore ?domains ~procs (data : int array) : int array * Multicore.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_multicore: processor count must be a power of two";
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
-
-(* And on real OS processes: the input array reaches every child by fork
-   (each rank's closure ignores it except at rank 0), the portions cross
-   the sockets by [Marshal], and the sorted result returns in rank 0's
-   verdict. Same values as both other engines. *)
-let sort_procs ~procs (data : int array) : int array * Procs.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_procs: processor count must be a power of two";
-  Scl_sim.Spmd.run_procs_collect ~procs (fun comm ->
-      hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
-
-(* Figure-2 style annotated run: returns the sorted array, the stats and
-   the trace notes describing each stage. *)
-let sort_sim_traced ?(cost = Cost_model.ap1000) ~procs (data : int array) :
-    int array * Sim.stats * (float * int * string) list =
-  let trace = Trace.create () in
-  let result, stats =
-    Scl_sim.Spmd.run_collect ~trace ~cost ~topology:Topology.Hypercube ~procs (fun comm ->
-        hqs_program ~verbose:true (if Comm.rank comm = 0 then Some data else None) comm)
-  in
-  (result, stats, Trace.notes trace)
+(* Kept with this exact signature because the repository benchmark calls it. *)
+let sort_multicore ?domains ~procs data = sort (Scl_sim.Spmd.multicore ?domains ()) ~procs data

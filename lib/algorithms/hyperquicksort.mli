@@ -6,8 +6,9 @@
       fetch exchange);
     - {!sort_flat}: the Section 5 flattened iterative SPMD program — the
       output of the flattening transformation;
-    - {!sort_sim}: the simulator rendering that regenerates Table 1 and
-      Figure 3 on the AP1000 cost model.
+    - {!sort}: the SPMD program on any engine; on the simulator it
+      regenerates Table 1 and Figure 3 on the AP1000 cost model, and its
+      [Comm.note]s (read with [Machine.Trace.notes]) the Figure 2 trace.
 
     Robustness beyond the paper: when a group leader is empty the pivot
     comes from the first non-empty member; an entirely empty group skips
@@ -23,31 +24,14 @@ val sort_flat : ?exec:Scl.Exec.t -> dims:int -> int array -> int array
 (** The flattened iterative form; extensionally equal to
     {!sort_recursive}. *)
 
-val sort_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  int array ->
-  int array * Sim.stats
-(** Simulated distributed-memory run; [procs] must be a power of two (the
-    algorithm's exchange pattern is a hypercube; [topology] — default
-    [Hypercube] — only reprices the hops, e.g. when embedding the cube in a
-    physical mesh or torus). Default cost model: AP1000. *)
+val sort : 's Scl_sim.Spmd.backend -> procs:int -> int array -> int array * 's
+(** The SPMD program on any engine, with identical output on every one;
+    [procs] must be a power of two. The exchange pattern is a hypercube,
+    which is the default topology; a topology in a [Scl_sim.Spmd.sim]
+    backend only reprices the hops (e.g. when embedding the cube in a
+    physical mesh or torus). With a trace in the sim backend, each stage
+    leaves a note — the paper's Figure 2. *)
 
-val sort_multicore :
-  ?domains:int -> procs:int -> int array -> int array * Multicore.stats
-(** The same SPMD program body as {!sort_sim}, executed for real on OCaml 5
-    domains ([Machine.Multicore]): identical output, wall-clock stats.
-    [procs] must be a power of two. *)
-
-val sort_procs : procs:int -> int array -> int array * Procs.stats
-(** The same SPMD program body on real OS processes ([Machine.Procs]):
-    forked ranks, marshalled exchanges over Unix-domain sockets,
-    identical output to both other engines. [procs] must be a power of
-    two. *)
-
-val sort_sim_traced :
-  ?cost:Cost_model.t -> procs:int -> int array -> int array * Sim.stats * (float * int * string) list
-(** Like {!sort_sim} with per-stage trace notes — regenerates the paper's
-    Figure 2. *)
+val sort_multicore : ?domains:int -> procs:int -> int array -> int array * Multicore.stats
+(** [sort (Scl_sim.Spmd.multicore ?domains ())]; kept with this signature
+    because the repository benchmark calls it. *)

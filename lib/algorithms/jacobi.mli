@@ -2,7 +2,6 @@
     boundaries — the [iterUntil] skeleton's workload: iterate a stencil
     until the update norm drops below a tolerance. *)
 
-open Machine
 
 type result = { solution : float array; iterations : int; final_diff : float }
 
@@ -23,27 +22,16 @@ val solve_scl :
     convergence via [fold max], control via [iter_until]. Iteration counts
     match {!solve_seq} exactly. *)
 
-val solve_multicore :
-  ?domains:int ->
+val solve :
   ?tol:float ->
   ?max_iter:int ->
+  's Scl_sim.Spmd.backend ->
   procs:int ->
   float array ->
   left:float ->
   right:float ->
-  result * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; the solution and
-    iteration count are identical to {!solve_sim}. *)
-
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  left:float ->
-  right:float ->
-  result * Sim.stats
-(** Simulator rendering: neighbour halo messages per sweep plus an
-    allreduce of the residual — the latency-bound regime. *)
+  result * 's
+(** The SPMD rendering on any engine: neighbour halo messages per sweep
+    plus an allreduce of the residual — the latency-bound regime on the
+    simulator. Solution and iteration count are identical on every
+    engine. *)

@@ -156,7 +156,7 @@ let run_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-9) ?(max_iter = 200) ~
     (points : point array) ~(init : point array) : result * Sim.stats =
   check_k k;
   if Array.length init <> k then invalid_arg "Kmeans: init must supply k centroids";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs (fun comm ->
       kmeans_program ~tol ~max_iter ~k
         (if Comm.rank comm = 0 then Some points else None)
         ~init comm)

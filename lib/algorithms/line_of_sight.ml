@@ -77,5 +77,5 @@ let los_program ?(observer_height = 0.0) (terrain : float array option) (comm : 
 
 let visible_sim ?(cost = Cost_model.ap1000) ?trace ?(observer_height = 0.0) ~procs
     (terrain : float array) : bool array * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs (fun comm ->
       los_program ~observer_height (if Comm.rank comm = 0 then Some terrain else None) comm)

@@ -61,7 +61,7 @@ let nbody_program (bodies : body array option) (comm : Comm.t) : accel array opt
 
 let accelerations_sim ?(cost = Cost_model.ap1000) ?trace ~procs (bodies : body array) :
     accel array * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs (fun comm ->
       nbody_program (if Comm.rank comm = 0 then Some bodies else None) comm)
 
 let random_bodies ~seed n : body array =

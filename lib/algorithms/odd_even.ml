@@ -48,5 +48,5 @@ let sort_sim ?(cost = Cost_model.ap1000) ?trace ?(topology = Topology.Ring) ~pro
     (data : int array) : int array * Sim.stats =
   if Array.exists (fun x -> x = sentinel) data then
     invalid_arg "Odd_even.sort_sim: max_int keys are reserved as padding sentinels";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ~topology ()) ~procs (fun comm ->
       sort_program (if Comm.rank comm = 0 then Some data else None) comm)

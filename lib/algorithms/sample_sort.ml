@@ -90,5 +90,5 @@ let psrs_program (data : int array option) (comm : Comm.t) : int array option =
 
 let sort_sim ?(cost = Cost_model.ap1000) ?trace ~procs (data : int array) :
     int array * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?trace ~cost ()) ~procs (fun comm ->
       psrs_program (if Comm.rank comm = 0 then Some data else None) comm)

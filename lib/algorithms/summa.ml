@@ -1,4 +1,4 @@
-(* SUMMA matrix multiplication on the simulated machine: the broadcast-
+(* SUMMA matrix multiplication on any SPMD engine: the broadcast-
    based alternative to Cannon.  Cannon's shifts are single-hop neighbour
    messages but demand the initial skew; SUMMA replaces them with q
    row/column broadcasts per round — the canonical comparison of
@@ -17,25 +17,12 @@ let summa_program ~n (comm : Comm.t) (a : float array array) (b : float array ar
   let dc = Scl_sim.Dmat.summa da db in
   Scl_sim.Dmat.gather ~root:0 dc
 
-let multiply_sim ?(cost = Cost_model.ap1000) ?trace ~grid (a : float array array)
-    (b : float array array) : float array array * Sim.stats =
+let multiply backend ~grid (a : float array array) (b : float array array) =
   let n = Array.length a in
   Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") a;
   Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") b;
   if Array.length b <> n then invalid_arg "Summa: dimension mismatch";
   if grid <= 0 || n mod grid <> 0 then invalid_arg "Summa: grid must divide the dimension";
   let q = grid in
-  Sim.run_collect ?trace
-    { Sim.procs = q * q; topology = Topology.Torus2d (q, q); cost }
-    (fun ctx -> summa_program ~n (Comm.world (Engine.of_sim ctx)) a b)
-
-let multiply_multicore ?domains ~grid (a : float array array) (b : float array array) :
-    float array array * Multicore.stats =
-  let n = Array.length a in
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") a;
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") b;
-  if Array.length b <> n then invalid_arg "Summa: dimension mismatch";
-  if grid <= 0 || n mod grid <> 0 then invalid_arg "Summa: grid must divide the dimension";
-  let q = grid in
-  Multicore.run_collect ?domains ~topology:(Topology.Torus2d (q, q)) ~procs:(q * q)
-    (fun eng -> summa_program ~n (Comm.world eng) a b)
+  Scl_sim.Spmd.run ~topology:(Topology.Torus2d (q, q)) backend ~procs:(q * q) (fun comm ->
+      summa_program ~n comm a b)

@@ -582,7 +582,6 @@ let domain_main fab d (my : rstate array) =
 (* ------------------------------------------------------------------- runners *)
 
 let default_domains procs = max 1 (min procs (Domain.recommended_domain_count ()))
-let default_topology procs = if Topology.is_power_of_two procs then Topology.Hypercube else Topology.Complete
 
 let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> unit) : stats =
@@ -594,7 +593,7 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
         if d <= 0 then invalid_arg "Multicore.run_each: domains must be positive";
         min d procs
   in
-  let topology = match topology with Some t -> t | None -> default_topology procs in
+  let topology = match topology with Some t -> t | None -> Topology.default procs in
   Topology.validate topology ~procs;
   Obs.Span.timed obs_run_span (fun () ->
       let fab =
@@ -684,14 +683,3 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
 
 let run ?domains ?cost ?topology ~procs program =
   run_each ?domains ?cost ?topology ~procs (fun _rank eng -> program eng)
-
-let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> a option) :
-    a * stats =
-  let result : a option Atomic.t = Atomic.make None in
-  let stats =
-    run_each ?domains ?cost ?topology ~procs (fun _rank eng ->
-        match program eng with Some v -> Atomic.set result (Some v) | None -> ())
-  in
-  match Atomic.get result with
-  | Some v -> (v, stats)
-  | None -> invalid_arg "Multicore.run_collect: no processor produced a result"

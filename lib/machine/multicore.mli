@@ -26,10 +26,6 @@ type stats = {
 val default_domains : int -> int
 (** [min procs (Domain.recommended_domain_count ())], at least 1. *)
 
-val default_topology : int -> Topology.t
-(** Hypercube when [procs] is a power of two, else complete — only used to
-    populate the engine's [topology] field; it does not affect routing. *)
-
 val run_each :
   ?domains:int ->
   ?cost:Cost_model.t ->
@@ -38,8 +34,9 @@ val run_each :
   (int -> Engine.t -> unit) ->
   stats
 (** Run [program rank engine] on every rank.  [?domains] caps the real
-    domains spawned (default {!default_domains}); [?cost] only populates
-    the engine's cost model field ([work] is a no-op on this engine).
+    domains spawned (default {!default_domains}); [?cost] and [?topology]
+    (default {!Topology.default}) only populate the engine's fields
+    ([work] is a no-op on this engine and routing is direct).
     Exceptions raised by rank programs are re-raised here (first one
     wins); {!Deadlock} is raised on quiescence. *)
 
@@ -50,13 +47,5 @@ val run :
   procs:int ->
   (Engine.t -> unit) ->
   stats
-
-val run_collect :
-  ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (Engine.t -> 'a option) ->
-  'a * stats
-(** Like {!run} for programs that produce a value at (at least) one rank;
-    mirrors [Sim.run_collect]. *)
+(** {!run_each} with the rank left to the engine. SPMD programs run
+    through [Scl_sim.Spmd.run]; this entry point times the bare engine. *)

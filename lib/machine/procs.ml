@@ -56,9 +56,6 @@ type stats = {
   crashed : int list;
 }
 
-let default_topology procs =
-  if Topology.is_power_of_two procs then Topology.Hypercube else Topology.Complete
-
 (* ------------------------------------------------------------------ frames *)
 
 let header_len = 17
@@ -586,8 +583,8 @@ let rec reap pid =
 
 let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> bytes option) : bytes option array * stats =
-  if procs <= 0 then invalid_arg "Procs.run_each: procs must be positive";
-  let topology = match topology with Some t -> t | None -> default_topology procs in
+  if procs <= 0 then invalid_arg "Procs.run_core: procs must be positive";
+  let topology = match topology with Some t -> t | None -> Topology.default procs in
   Topology.validate topology ~procs;
   (* children inherit the stdio buffers; flush now so nothing replays *)
   flush stdout;
@@ -656,35 +653,8 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
       crashed = List.rev !crashed;
     } )
 
-let run_each ?cost ?topology ~procs (program : int -> Engine.t -> unit) : stats =
-  let _, stats =
-    run_core ?cost ?topology ~procs (fun r eng ->
-        program r eng;
-        None)
-  in
-  stats
-
-let run ?cost ?topology ~procs program =
-  run_each ?cost ?topology ~procs (fun _rank eng -> program eng)
-
-let run_collect (type a) ?cost ?topology ~procs (program : Engine.t -> a option) : a * stats =
-  let results, stats =
-    run_core ?cost ?topology ~procs (fun _rank eng ->
-        match program eng with
-        | None -> None
-        | Some v -> (
-            try Some (Marshal.to_bytes v [])
-            with Invalid_argument msg | Failure msg ->
-              raise
-                (Fault.Unserializable
-                   (Printf.sprintf "Procs.run_collect: result cannot cross a process \
-                                    boundary (%s)"
-                      msg))))
-  in
-  let rec first i =
-    if i >= Array.length results then None
-    else match results.(i) with Some b -> Some b | None -> first (i + 1)
-  in
-  match first 0 with
-  | Some b -> ((Marshal.from_bytes b 0 : a), stats)
-  | None -> invalid_arg "Procs.run_collect: no processor produced a result"
+let run ?cost ?topology ~procs (program : Engine.t -> unit) : stats =
+  snd
+    (run_core ?cost ?topology ~procs (fun _rank eng ->
+         program eng;
+         None))

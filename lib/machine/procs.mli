@@ -27,12 +27,12 @@
       detected (no global quiescence view across processes) — use
       timeouts for protocols that need a failure detector.
 
-    Fork safety (OCaml 5): call [run*] only in a process that has NEVER
-    created another domain. [Unix.fork] refuses permanently once a
-    second domain has existed — joining it does not lift the ban — so a
-    driver mixing engines must run its [Procs] work before any pool or
-    multicore run (as tools/diffcheck and bench/main do), or fork a
-    dedicated process for it. *)
+    Fork safety (OCaml 5): call {!run_core} or {!run} only in a process
+    that has NEVER created another domain. [Unix.fork] refuses
+    permanently once a second domain has existed — joining it does not
+    lift the ban — so a driver mixing engines must run its [Procs] work
+    before any pool or multicore run (as tools/diffcheck and bench/main
+    do), or fork a dedicated process for it. *)
 
 exception Deadlock of string
 (** A receive provably cannot be satisfied: every rank it could match
@@ -56,40 +56,22 @@ type stats = {
           order *)
 }
 
-val default_topology : int -> Topology.t
-(** Hypercube when [procs] is a power of two, else complete — only used
-    to populate the engine's [topology] field; it does not affect
-    routing (every rank pair has a direct socket). *)
-
-val run_each :
+val run_core :
   ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->
-  (int -> Engine.t -> unit) ->
-  stats
+  (int -> Engine.t -> bytes option) ->
+  bytes option array * stats
 (** Run [program rank engine] on every rank, each in its own forked
-    process. [?cost] only populates the engine's cost-model field
-    ([work] is a no-op on this engine). A rank that raises
-    {!Fault.Crashed} on itself (the [Chaos] contract) or dies outright
-    fail-stops silently and is reported in [stats.crashed]; any other
-    exception from a rank program is re-raised here (lowest rank wins).
-    All children are reaped before return. *)
+    process, and return each rank's bytes: they cross back to the parent
+    in the rank's verdict ([None] for a crashed rank). [Scl_sim.Spmd.run]
+    marshals typed results through it. [?cost] and [?topology] (default
+    {!Topology.default}) only populate the engine's fields ([work] is a
+    no-op on this engine, and every rank pair has a direct socket). A
+    rank that raises {!Fault.Crashed} on itself (the [Chaos] contract) or
+    dies outright fail-stops silently and is reported in [stats.crashed];
+    any other exception from a rank program is re-raised here (lowest
+    rank wins). All children are reaped before return. *)
 
-val run :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (Engine.t -> unit) ->
-  stats
-
-val run_collect :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (Engine.t -> 'a option) ->
-  'a * stats
-(** Like {!run} for programs that produce a value at (at least) one
-    rank; mirrors [Sim.run_collect]. The value crosses back from the
-    child by [Marshal] — a non-marshalable result raises
-    {!Fault.Unserializable}. When several ranks produce one, the lowest
-    rank's value is returned. *)
+val run : ?cost:Cost_model.t -> ?topology:Topology.t -> procs:int -> (Engine.t -> unit) -> stats
+(** {!run_core} for programs without a result. *)

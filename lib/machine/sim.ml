@@ -457,21 +457,6 @@ let run_each ?trace cfg program =
 
 let run ?trace cfg program = run_each ?trace cfg (fun _rank -> program)
 
-(* Convenience: run and also return a value computed by processor 0.  SPMD
-   programs usually gather their result at the root; this saves threading a
-   ref through every call site. *)
-let run_collect ?trace cfg (program : ctx -> 'a option) : 'a * stats =
-  let result = ref None in
-  let stats =
-    run_each ?trace cfg (fun _rank ctx ->
-        match program ctx with
-        | Some v -> result := Some v
-        | None -> ())
-  in
-  match !result with
-  | Some v -> (v, stats)
-  | None -> invalid_arg "Sim.run_collect: no processor produced a result"
-
 (* Load-balance diagnostics over a run's statistics. *)
 let mean_work stats =
   let n = Array.length stats.work_times in

@@ -91,10 +91,6 @@ val run : ?trace:Trace.t -> config -> (ctx -> unit) -> stats
 val run_each : ?trace:Trace.t -> config -> (int -> ctx -> unit) -> stats
 (** Per-rank programs (rank is applied before the simulation starts). *)
 
-val run_collect : ?trace:Trace.t -> config -> (ctx -> 'a option) -> 'a * stats
-(** Like {!run}, for programs where (at least) one processor returns the
-    final value — conventionally the root after a gather. *)
-
 (** {1 Diagnostics} *)
 
 val mean_work : stats -> float

@@ -1,13 +1,27 @@
-(* Convenience runners for SPMD skeleton programs: the same
-   [Comm.t -> 'a option] program body runs on the simulated machine
-   ([run] / [run_collect]), on real OCaml 5 domains
-   ([run_multicore] / [run_multicore_collect]), or on real forked OS
-   processes ([run_procs] / [run_procs_collect]). *)
+(* The one runner for SPMD skeleton programs: the same
+   [Comm.t -> 'a option] program body runs on the simulated machine, on
+   real OCaml 5 domains, or on real forked OS processes, chosen by a typed
+   backend that also fixes the stats type of the run. *)
 
 open Machine
 
-let default_topology procs =
-  if Topology.is_power_of_two procs then Topology.Hypercube else Topology.Complete
+type _ backend =
+  | Sim : {
+      cost : Cost_model.t;
+      topology : Topology.t option;
+      trace : Trace.t option;
+    }
+      -> Sim.stats backend
+  | Multicore : { domains : int option } -> Multicore.stats backend
+  | Procs : Procs.stats backend
+
+let sim ?(cost = Cost_model.ap1000) ?topology ?trace () = Sim { cost; topology; trace }
+let multicore ?domains () = Multicore { domains }
+
+let name : type s. s backend -> string = function
+  | Sim _ -> "sim"
+  | Multicore _ -> "multicore"
+  | Procs -> "procs"
 
 (* Observability: the simulator itself records messages/bytes/barriers and
    the simulated makespan (see Machine.Sim), and the multicore fabric its
@@ -20,13 +34,6 @@ let obs_procs_runs = Obs.Counter.make "spmd.procs_runs"
 let obs_wall = Obs.Span.make "spmd.run_wall"
 let obs_sim_us = Obs.Histogram.make ~unit_:"us" "spmd.sim_makespan_us"
 
-let observe stats =
-  if Obs.enabled () then begin
-    Obs.Counter.incr obs_runs;
-    Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))
-  end;
-  stats
-
 (* With [?chaos], each rank's engine is wrapped in the fault injector
    before the communicator is built — the program body is untouched, which
    is the whole point (coordination-layer faults, not user-code faults). *)
@@ -35,54 +42,52 @@ let with_chaos chaos program eng =
   | None -> program (Comm.world eng)
   | Some spec -> Chaos.run spec (fun e -> program (Comm.world e)) eng
 
-let run ?trace ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> unit) : Sim.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      observe
-        (Sim.run ?trace { Sim.procs; topology; cost } (fun ctx ->
-             with_chaos chaos program (Engine.of_sim ctx))))
+(* The collect rule, the same on every engine: the lowest rank's [Some]. *)
+let lowest results =
+  match Array.find_map Fun.id results with
+  | Some v -> v
+  | None -> invalid_arg "Spmd.run: no rank returned a value"
 
-let run_collect ?trace ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> 'a option) : 'a * Sim.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      let v, stats =
-        Sim.run_collect ?trace { Sim.procs; topology; cost } (fun ctx ->
-            with_chaos chaos program (Engine.of_sim ctx))
+let run (type a s) ?chaos ?topology (backend : s backend) ~procs (program : Comm.t -> a option)
+    : a * s =
+  Obs.Span.timed obs_wall (fun () : (a * s) ->
+      let topology = match topology with Some t -> t | None -> Topology.default procs in
+      (* in-process engines: each rank writes only its own slot, and every
+         rank has finished (domains joined) before [lowest] reads them *)
+      let in_process run_each =
+        let results = Array.make (max procs 0) None in
+        let stats = run_each (fun rank eng -> results.(rank) <- with_chaos chaos program eng) in
+        (lowest results, stats)
       in
-      (v, observe stats))
-
-let run_multicore ?domains ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> unit) : Multicore.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
-      Multicore.run ?domains ~cost ~topology ~procs (fun eng -> with_chaos chaos program eng))
-
-let run_multicore_collect ?domains ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> 'a option) : 'a * Multicore.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
-      Multicore.run_collect ?domains ~cost ~topology ~procs (fun eng ->
-          with_chaos chaos program eng))
-
-(* The process engine forks: the chaos wrapper (like the program body)
-   runs inside each child, so held sends and fail-stops perturb the real
-   socket fabric.  Only callable in a process that has never created
-   another domain — see the fork-safety note on {!Machine.Procs}. *)
-
-let run_procs ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> unit) : Procs.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-      Procs.run ~cost ~topology ~procs (fun eng -> with_chaos chaos program eng))
-
-let run_procs_collect ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> 'a option) : 'a * Procs.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-      Procs.run_collect ~cost ~topology ~procs (fun eng -> with_chaos chaos program eng))
+      match backend with
+      | Sim { cost; topology = priced; trace } ->
+          let topology = Option.value priced ~default:topology in
+          let ((_, stats) as r) =
+            in_process (fun keep ->
+                Sim.run_each ?trace { Sim.procs; topology; cost } (fun rank ctx ->
+                    keep rank (Engine.of_sim ctx)))
+          in
+          if Obs.enabled () then begin
+            Obs.Counter.incr obs_runs;
+            Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))
+          end;
+          r
+      | Multicore { domains } ->
+          if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
+          in_process (fun keep -> Multicore.run_each ?domains ~topology ~procs keep)
+      | Procs ->
+          if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
+          (* the chaos wrapper and the program run inside each child; a
+             result crosses back to the parent marshalled *)
+          let marshal v =
+            try Marshal.to_bytes v []
+            with Invalid_argument msg | Failure msg ->
+              raise
+                (Fault.Unserializable
+                   (Printf.sprintf "Spmd.run: result cannot cross a process boundary (%s)" msg))
+          in
+          let bytes, stats =
+            Procs.run_core ~topology ~procs (fun _rank eng ->
+                Option.map marshal (with_chaos chaos program eng))
+          in
+          ((Marshal.from_bytes (lowest bytes) 0 : a), stats))

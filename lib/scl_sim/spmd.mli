@@ -1,80 +1,69 @@
-(** Run SPMD skeleton programs — on the simulated machine, on real
-    OCaml 5 domains, or on real forked OS processes. The same program
-    body works on all three engines. *)
+(** Run SPMD skeleton programs — the one runner.
+
+    A program is a [Comm.t -> 'a option] body. {!run} executes it on every
+    rank of the engine a typed {!backend} names: the deterministic
+    simulated machine, real OCaml 5 domains, or real forked OS processes.
+    The body is the same on all three; the backend fixes the stats type,
+    because the engines measure different things (simulated seconds and
+    bytes on the simulator, wall clock on the others).
+
+    {b Collect rule.} The run's value is the value of the lowest rank
+    that returns [Some], whatever the engine and whatever order the ranks
+    finish in. If no rank does, {!run} raises [Invalid_argument]. Programs
+    without a result return [Some ()].
+
+    {b Fork note.} The {!Procs} backend forks, and OCaml 5 refuses
+    [Unix.fork] for good once a process has created a second domain. Run
+    procs work only in a process that has never spawned a domain — before
+    any {!multicore} run or [Runtime.Pool] (see {!Machine.Procs}). *)
 
 open Machine
 
-val default_topology : int -> Topology.t
-(** Hypercube when the processor count is a power of two, else complete. *)
+type _ backend =
+  | Sim : {
+      cost : Cost_model.t;
+      topology : Topology.t option;
+          (** prices the hops; overrides the program's [?topology] *)
+      trace : Trace.t option;  (** records events and [Comm.note]s *)
+    }
+      -> Sim.stats backend
+      (** The discrete-event simulator: deterministic, [Comm.work] charges
+          simulated time. *)
+  | Multicore : { domains : int option } -> Multicore.stats backend
+      (** Each rank a fiber on an OCaml domain (ranks beyond [domains]
+          are multiplexed); zero-copy messages, [Comm.work] a no-op. *)
+  | Procs : Procs.stats backend
+      (** Each rank a forked process; messages and the result cross Unix
+          sockets by [Marshal], and a dead process is a real
+          {!Fault.Crashed}. *)
+
+val sim : ?cost:Cost_model.t -> ?topology:Topology.t -> ?trace:Trace.t -> unit -> Sim.stats backend
+(** The simulator backend; the cost model defaults to the AP1000
+    calibration. *)
+
+val multicore : ?domains:int -> unit -> Multicore.stats backend
+(** The multicore backend; [domains] defaults to
+    {!Machine.Multicore.default_domains}. *)
+
+val name : _ backend -> string
+(** ["sim"], ["multicore"] or ["procs"]. *)
 
 val run :
-  ?trace:Trace.t ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
   ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> unit) ->
-  Sim.stats
-(** Run the program on every simulated processor with a world communicator;
-    the cost model defaults to the AP1000 calibration. With [?chaos], each
-    rank's engine is wrapped in the fault injector (see {!Machine.Chaos})
-    before the communicator is built — the program body is untouched. *)
-
-val run_collect :
-  ?trace:Trace.t ->
-  ?cost:Cost_model.t ->
   ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
+  's backend ->
   procs:int ->
   (Comm.t -> 'a option) ->
-  'a * Sim.stats
-(** Like {!run} for programs that produce a value at (at least) one
-    processor. *)
-
-val run_multicore :
-  ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> unit) ->
-  Multicore.stats
-(** Run the same program for real: each rank on an OCaml domain (ranks
-    beyond [?domains] are multiplexed), zero-copy messaging, [Comm.work]
-    a no-op. [?chaos] as in {!run} (stalls become real sleeps). *)
-
-val run_multicore_collect :
-  ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> 'a option) ->
-  'a * Multicore.stats
-(** Like {!run_multicore} for programs that produce a value. *)
-
-val run_procs :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> unit) ->
-  Procs.stats
-(** Run the same program on real OS processes: each rank is forked and
-    ranks talk over Unix-domain sockets ({!Machine.Procs}), so payloads
-    must be marshalable and a dead process is a real {!Fault.Crashed}.
-    [?chaos] as in {!run}; the wrapper runs inside each child. Fork
-    safety: only valid in a process that has never created another
-    domain — [Unix.fork] refuses permanently after the first
-    [Domain.spawn], so run procs work before any pool or multicore
-    run (see {!Machine.Procs}). *)
-
-val run_procs_collect :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> 'a option) ->
-  'a * Procs.stats
-(** Like {!run_procs} for programs that produce a value; the value
-    returns to the parent by [Marshal]. *)
+  'a * 's
+(** [run backend ~procs program] runs [program] on [procs] ranks, each
+    with a world communicator, and returns the collected value (see the
+    collect rule above) with the engine's stats. [?topology] is the
+    program's machine shape (default {!Machine.Topology.default}); only
+    the simulator prices it, and a topology in the {!Sim} backend takes
+    precedence. With [?chaos], each rank's engine is wrapped in the fault
+    injector ({!Machine.Chaos}) before the communicator is built — the
+    program body is untouched; on procs the wrapper runs inside each
+    child.
+    @raise Invalid_argument naming [Spmd.run] if no rank returns [Some].
+    @raise Fault.Unserializable on procs if the result cannot be
+    marshalled. *)

@@ -232,7 +232,7 @@ let generate ?(name = "run_pipeline") (e : Ast.expr) : string =
   Printf.sprintf
     "%slet %s ?(cost = Machine.Cost_model.ap1000) ~procs (input : int array) :\n\
     \    %s * Machine.Sim.stats =\n\
-    \  Scl_sim.Spmd.run_collect ~cost ~procs (fun comm ->\n\
+    \  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ~cost ()) ~procs (fun comm ->\n\
     \      let dv0 =\n\
     \        Scl_sim.Dvec.scatter comm ~root:0\n\
     \          (if Machine.Comm.rank comm = 0 then Some input else None)\n\

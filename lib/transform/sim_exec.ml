@@ -312,7 +312,7 @@ let run ?(cost = Cost_model.ap1000) ?topology ~procs (e : Ast.expr) (input : Val
     Value.t * Sim.stats =
   let elems = Value.as_arr input in
   ignore elems;
-  Scl_sim.Spmd.run_collect ?topology ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Scl_sim.Spmd.sim ?topology ~cost ()) ~procs (fun comm ->
       let dv =
         Scl_sim.Dvec.scatter comm ~root:0
           (if Comm.rank comm = 0 then Some (Value.as_arr input) else None)

@@ -292,12 +292,35 @@ let test_sim_trace_records () =
   let has_recv = List.exists (fun e -> match e.Trace.kind with Trace.Recv _ -> true | _ -> false) evs in
   Alcotest.(check bool) "send+recv traced" true (has_send && has_recv)
 
-let test_sim_run_collect () =
+let test_sim_spmd_collect () =
   let v, _ =
-    Sim.run_collect (cfg ~procs:4 ()) (fun ctx ->
-        if Sim.rank ctx = 0 then Some "root" else None)
+    Scl_sim.Spmd.run (Scl_sim.Spmd.sim ()) ~procs:4 (fun comm ->
+        if Comm.rank comm = 0 then Some "root" else None)
   in
   Alcotest.(check string) "collected" "root" v
+
+let test_sim_backend_topology_precedence () =
+  (* 0 -> 2 is one hop on a complete graph and two on a 4-ring: a topology
+     in the sim backend prices the run, whatever shape the program asks for *)
+  let program comm =
+    (match Comm.rank comm with
+    | 0 -> Comm.send comm ~dest:2 (Array.make 100 1.0)
+    | 2 -> ignore (Comm.recv comm ~src:0 () : float array)
+    | _ -> ());
+    Some ()
+  in
+  let makespan ?topology backend =
+    (snd (Scl_sim.Spmd.run ?topology backend ~procs:4 program)).Sim.makespan
+  in
+  let plain = Scl_sim.Spmd.sim () and ring = Scl_sim.Spmd.sim ~topology:Topology.Ring () in
+  Alcotest.(check bool) "ring costs more than complete" true
+    (makespan ~topology:Topology.Ring plain > makespan ~topology:Topology.Complete plain);
+  check_float "backend ring overrides the program's complete"
+    (makespan ~topology:Topology.Ring plain)
+    (makespan ~topology:Topology.Complete ring);
+  check_float "default shape of p=4 is the hypercube"
+    (makespan ~topology:Topology.Hypercube plain)
+    (makespan plain)
 
 let test_sim_hypercube_transfer_hops_priced () =
   (* 0 -> 7 on a 3-cube is 3 hops: transfer = 1 + 3 + bytes. *)
@@ -515,6 +538,20 @@ let test_sim_single_processor () =
   in
   check_float "P=1 runs" 5.0 stats.Sim.makespan;
   Alcotest.(check int) "no messages" 0 stats.Sim.total_msgs
+
+let test_topology_default () =
+  (* one default shape for every engine: the hypercube where p is a power
+     of two, the complete graph otherwise *)
+  List.iter
+    (fun p ->
+      Alcotest.(check string) (Printf.sprintf "p=%d" p) "hypercube"
+        (Topology.to_string (Topology.default p)))
+    [ 1; 2; 4; 8; 64 ];
+  List.iter
+    (fun p ->
+      Alcotest.(check string) (Printf.sprintf "p=%d" p) "complete"
+        (Topology.to_string (Topology.default p)))
+    [ 0; 3; 5; 6; 12 ]
 
 let test_sim_topology_changes_cost () =
   (* The same program priced on different topologies: star (2 hops between
@@ -870,8 +907,8 @@ let chaos_battery c =
 let test_chaos_zero_fault_bit_identical () =
   (* wrapping with the zero-fault schedule must not change ANY simulated
      number: same values, same makespan bit-for-bit, same message count *)
-  let v0, s0 = Spmd.run_collect ~procs:4 chaos_battery in
-  let v1, s1 = Spmd.run_collect ~procs:4 ~chaos:Chaos.none chaos_battery in
+  let v0, s0 = Spmd.run (Spmd.sim ()) ~procs:4 chaos_battery in
+  let v1, s1 = Spmd.run (Spmd.sim ()) ~procs:4 ~chaos:Chaos.none chaos_battery in
   Alcotest.(check bool) "values equal" true (v0 = v1);
   Alcotest.(check bool) "makespan bit-identical" true (s0.Sim.makespan = s1.Sim.makespan);
   Alcotest.(check int) "msgs identical" s0.Sim.total_msgs s1.Sim.total_msgs;
@@ -881,11 +918,11 @@ let test_chaos_delays_value_identical () =
   (* delay/reordering within the FIFO relaxation never changes values *)
   List.iter
     (fun procs ->
-      let bare, _ = Spmd.run_collect ~procs chaos_battery in
+      let bare, _ = Spmd.run (Spmd.sim ()) ~procs chaos_battery in
       List.iter
         (fun seed ->
           let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-          let perturbed, _ = Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+          let perturbed, _ = Spmd.run (Spmd.sim ()) ~procs ~chaos:spec chaos_battery in
           Alcotest.(check bool)
             (Printf.sprintf "p=%d seed=%d" procs seed)
             true (perturbed = bare))
@@ -895,8 +932,8 @@ let test_chaos_delays_value_identical () =
 let test_chaos_delays_are_deterministic () =
   (* same seed: bit-identical simulated stats; the perturbation replays *)
   let spec = Chaos.delays ~seed:9 ~prob:0.5 () in
-  let v1, s1 = Spmd.run_collect ~procs:4 ~chaos:spec chaos_battery in
-  let v2, s2 = Spmd.run_collect ~procs:4 ~chaos:spec chaos_battery in
+  let v1, s1 = Spmd.run (Spmd.sim ()) ~procs:4 ~chaos:spec chaos_battery in
+  let v2, s2 = Spmd.run (Spmd.sim ()) ~procs:4 ~chaos:spec chaos_battery in
   Alcotest.(check bool) "values replay" true (v1 = v2);
   Alcotest.(check bool) "makespan replays" true (s1.Sim.makespan = s2.Sim.makespan);
   Alcotest.(check int) "msgs replay" s1.Sim.total_msgs s2.Sim.total_msgs
@@ -904,15 +941,15 @@ let test_chaos_delays_are_deterministic () =
 let test_chaos_straggler_slows_but_preserves () =
   (* a per-rank stall tax changes timing, never values *)
   let spec = { Chaos.none with Chaos.stalls = [ (1, 0.005) ] } in
-  let bare, s0 = Spmd.run_collect ~procs:4 chaos_battery in
-  let slow, s1 = Spmd.run_collect ~procs:4 ~chaos:spec chaos_battery in
+  let bare, s0 = Spmd.run (Spmd.sim ()) ~procs:4 chaos_battery in
+  let slow, s1 = Spmd.run (Spmd.sim ()) ~procs:4 ~chaos:spec chaos_battery in
   Alcotest.(check bool) "values identical" true (bare = slow);
   Alcotest.(check bool) "straggler visible in makespan" true (s1.Sim.makespan > s0.Sim.makespan)
 
 let test_chaos_spec_validated () =
   let bad spec =
     try
-      ignore (Spmd.run ~procs:2 ~chaos:spec (fun c -> Comm.barrier c));
+      ignore (Spmd.run ~chaos:spec (Spmd.sim ()) ~procs:2 (fun c -> Some (Comm.barrier c)));
       false
     with Invalid_argument _ -> true
   in
@@ -929,15 +966,16 @@ let test_chaos_crash_counts_faults () =
   Obs.enable ();
   let before = Obs.Counter.value c in
   let spec = { Chaos.none with Chaos.crashes = [ (1, 1) ] } in
-  let stats =
-    Spmd.run ~procs:2 ~chaos:spec (fun comm ->
+  let (), stats =
+    Spmd.run ~chaos:spec (Spmd.sim ()) ~procs:2 (fun comm ->
         if Comm.rank comm = 1 then begin
           Comm.send comm ~dest:0 ();
           failwith "unreachable: rank 1 crashes on its first operation"
         end
-        else
-          try ignore (Comm.recv comm ~src:1 ~timeout:1.0 () : unit)
-          with Fault.Timeout _ -> ())
+        else begin
+          (try ignore (Comm.recv comm ~src:1 ~timeout:1.0 () : unit) with Fault.Timeout _ -> ());
+          Some ()
+        end)
   in
   let after = Obs.Counter.value c in
   Obs.disable ();
@@ -987,17 +1025,17 @@ let test_sim_sleep_paced_sender_keeps_arrival_order () =
 let test_multicore_sleep_completes () =
   (* wall-clock engine: a sleeping rank must not stall its domain (other
      fibers keep running) and the run must terminate promptly *)
-  let stats =
-    Spmd.run_multicore ~domains:2 ~procs:3 (fun comm ->
+  let (), stats =
+    Spmd.run (Spmd.multicore ~domains:2 ()) ~procs:3 (fun comm ->
         match Comm.rank comm with
         | 0 ->
             let a = (Comm.recv_any comm () : int * int) in
             let b = (Comm.recv_any comm () : int * int) in
-            assert (fst a >= 0 && fst b >= 0)
+            Some (assert (fst a >= 0 && fst b >= 0))
         | 1 ->
             Comm.sleep comm 0.02;
-            Comm.send comm ~dest:0 1
-        | _ -> Comm.send comm ~dest:0 2)
+            Some (Comm.send comm ~dest:0 1)
+        | _ -> Some (Comm.send comm ~dest:0 2))
   in
   Alcotest.(check bool) "took at least the sleep" true (stats.Multicore.wall >= 0.02)
 
@@ -1036,9 +1074,10 @@ let test_chaos_crashes_at_validation () =
   Alcotest.check_raises "negative time" (Invalid_argument "Chaos.wrap: crash time must be >= 0")
     (fun () ->
       ignore
-        (Spmd.run ~procs:2
+        (Spmd.run
            ~chaos:{ Chaos.none with Chaos.crashes_at = [ (0, -1.0) ] }
-           (fun _ -> ())))
+           (Spmd.sim ()) ~procs:2
+           (fun _ -> Some ())))
 
 (* Seeded, shrinkable property: all collectives under any delay/reorder
    chaos schedule are value-identical to the fault-free run. *)
@@ -1058,8 +1097,8 @@ let test_prop_chaos_value_identity () =
       Prop.Runner.Skip_case
     else begin
       let spec = Chaos.delays ~seed ~prob:(float_of_int prob10 /. 10.0) ~max_hold () in
-      let bare, _ = Spmd.run_collect ~procs chaos_battery in
-      let perturbed, _ = Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+      let bare, _ = Spmd.run (Spmd.sim ()) ~procs chaos_battery in
+      let perturbed, _ = Spmd.run (Spmd.sim ()) ~procs ~chaos:spec chaos_battery in
       if perturbed = bare then Prop.Runner.Pass_case
       else Prop.Runner.Fail_case "chaos changed collective values"
     end
@@ -1087,6 +1126,7 @@ let suite =
         Alcotest.test_case "mesh hops" `Quick test_mesh_hops;
         Alcotest.test_case "ring hops" `Quick test_ring_hops;
         Alcotest.test_case "star hops" `Quick test_star_hops;
+        Alcotest.test_case "default shape" `Quick test_topology_default;
         prop_hops_symmetric;
         prop_neighbors_are_one_hop;
       ] );
@@ -1114,7 +1154,9 @@ let suite =
         Alcotest.test_case "self-send rejected" `Quick test_sim_self_send_rejected;
         Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
         Alcotest.test_case "trace records" `Quick test_sim_trace_records;
-        Alcotest.test_case "run_collect" `Quick test_sim_run_collect;
+        Alcotest.test_case "spmd collect" `Quick test_sim_spmd_collect;
+        Alcotest.test_case "spmd backend topology precedence" `Quick
+          test_sim_backend_topology_precedence;
         Alcotest.test_case "hop pricing" `Quick test_sim_hypercube_transfer_hops_priced;
       ] );
     ( "comm",
@@ -1253,11 +1295,11 @@ let test_float_collectives_chaos_coherent () =
     let _, back, all = float_collective_battery c in
     if Comm.rank c = 0 then Some (back, all) else None
   in
-  let bare, _ = Spmd.run_collect ~procs:4 battery in
+  let bare, _ = Spmd.run (Spmd.sim ()) ~procs:4 battery in
   List.iter
     (fun seed ->
       let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-      let perturbed, _ = Spmd.run_collect ~procs:4 ~chaos:spec battery in
+      let perturbed, _ = Spmd.run (Spmd.sim ()) ~procs:4 ~chaos:spec battery in
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (perturbed = bare))
     [ 1; 7; 42 ]
 

@@ -11,16 +11,20 @@ let contains msg needle =
   let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
   go 0
 
+(* Engine-level programs, collected through the one runner. *)
+let collect ?domains ~procs f =
+  Spmd.run (Spmd.multicore ?domains ()) ~procs (fun c -> f (Comm.engine c))
+
 (* --- fabric basics ------------------------------------------------------ *)
 
 let test_single_rank () =
-  let v, stats = Multicore.run_collect ~procs:1 (fun eng -> Some (eng.Engine.rank + 41)) in
+  let v, stats = collect ~procs:1 (fun eng -> Some (eng.Engine.rank + 41)) in
   Alcotest.(check int) "value" 41 v;
   Alcotest.(check int) "no messages" 0 stats.Multicore.total_msgs
 
 let test_ping_pong () =
   let v, stats =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
+    collect ~procs:2 ~domains:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:5 "ping";
           let (s : string) = eng.Engine.recv ~src:1 ~tag:6 () in
@@ -39,7 +43,7 @@ let test_ping_pong () =
    earlier message until it is asked for. *)
 let test_tag_discipline_out_of_order () =
   let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
+    collect ~procs:2 ~domains:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:1 10;
           eng.Engine.send ~dest:1 ~tag:2 20;
@@ -63,7 +67,7 @@ let test_self_send_rejected () =
 let test_zero_copy_identity () =
   let shared = Array.init 1024 Fun.id in
   let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
+    collect ~procs:2 ~domains:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:0 shared;
           None
@@ -146,7 +150,7 @@ let fabric_stress seed () =
     Array.init msgs (fun _ -> Runtime.Xoshiro.int rng ntags)
   in
   let v, _ =
-    Multicore.run_collect ~procs:4 ~domains:4 (fun eng ->
+    collect ~procs:4 ~domains:4 (fun eng ->
         let me = eng.Engine.rank in
         if me > 0 then begin
           let tags = tags_for me in
@@ -197,7 +201,7 @@ let test_barrier_rounds () =
   let rounds = 1000 in
   let counter = Atomic.make 0 in
   let v, _ =
-    Spmd.run_multicore_collect ~procs:p ~domains:4 (fun comm ->
+    Spmd.run (Spmd.multicore ~domains:4 ()) ~procs:p (fun comm ->
         let ok = ref true in
         for r = 1 to rounds do
           Atomic.incr counter;
@@ -215,7 +219,7 @@ let test_barrier_rounds () =
 let test_multiplexed_ranks () =
   let p = 8 in
   let v, stats =
-    Spmd.run_multicore_collect ~procs:p ~domains:2 (fun comm ->
+    Spmd.run (Spmd.multicore ~domains:2 ()) ~procs:p (fun comm ->
         let me = Comm.rank comm in
         let s = Comm.allreduce comm ( + ) me in
         let next = (me + 1) mod p in
@@ -227,111 +231,17 @@ let test_multiplexed_ranks () =
   Alcotest.(check (pair int int)) "ring + allreduce over 2 domains" (28, 7) v;
   Alcotest.(check int) "two domains" 2 stats.Multicore.domains_used
 
-(* --- engine equivalence: same program, identical values ------------------ *)
+(* --- engine equivalence: the shared cases on sim and multicore ------------- *)
 
-let collective_program (comm : Comm.t) =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let reduced = Comm.allreduce comm ( + ) (me + 1) in
-  let scanned = Comm.scan comm ( + ) (me + 1) in
-  let gathered = Comm.allgather comm (me * me) in
-  let transposed = Comm.alltoall comm (Array.init p (fun j -> (me * 100) + j)) in
-  let sub = Comm.split comm ~color:(me mod 2) ~key:me in
-  let sub_sum = Comm.allreduce sub ( + ) me in
-  let everything = (reduced, scanned, gathered, transposed, sub_sum) in
-  match Comm.gather comm ~root:0 everything with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
-let test_engine_equivalence_collectives () =
-  List.iter
-    (fun procs ->
-      let sim, _ = Spmd.run_collect ~procs collective_program in
-      let mc, _ = Spmd.run_multicore_collect ~procs collective_program in
-      Alcotest.(check bool)
-        (Printf.sprintf "collectives agree at p=%d" procs)
-        true (sim = mc))
-    [ 1; 2; 4 ]
-
-let test_engine_equivalence_hyperquicksort () =
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Array.init 800 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
-  let reference = Array.copy data in
-  Array.sort compare reference;
-  List.iter
-    (fun procs ->
-      let sim, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-      let mc, _ = Algorithms.Hyperquicksort.sort_multicore ~procs data in
-      Alcotest.(check bool)
-        (Printf.sprintf "sim output sorted at p=%d" procs)
-        true (sim = reference);
-      Alcotest.(check bool)
-        (Printf.sprintf "multicore output identical at p=%d" procs)
-        true (mc = sim))
-    [ 1; 2; 4 ]
-
-let test_engine_equivalence_cannon_summa () =
-  let n = 12 in
-  let a = Algorithms.Cannon.random_matrix ~seed:7 n in
-  let b = Algorithms.Cannon.random_matrix ~seed:8 n in
-  let sim_c, _ = Algorithms.Cannon.multiply_sim ~grid:2 a b in
-  let mc_c, _ = Algorithms.Cannon.multiply_multicore ~grid:2 a b in
-  Alcotest.(check bool) "cannon blocks agree" true (sim_c = mc_c);
-  let sim_s, _ = Algorithms.Summa.multiply_sim ~grid:2 a b in
-  let mc_s, _ = Algorithms.Summa.multiply_multicore ~grid:2 a b in
-  Alcotest.(check bool) "summa blocks agree" true (sim_s = mc_s);
-  Alcotest.(check bool) "cannon = summa" true (sim_c = sim_s)
-
-let test_engine_equivalence_solvers () =
-  (* jacobi / heat2d / cg: bitwise-identical fixed points on both engines —
-     same program body, same collective trees, same float operation order *)
-  let f = Array.make 32 1.0 in
-  let j_sim, _ = Algorithms.Jacobi.solve_sim ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0 in
-  let j_mc, _ = Algorithms.Jacobi.solve_multicore ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0 in
-  Alcotest.(check bool) "jacobi solutions identical" true
-    (j_sim.Algorithms.Jacobi.solution = j_mc.Algorithms.Jacobi.solution);
-  Alcotest.(check int) "jacobi same iteration count" j_sim.Algorithms.Jacobi.iterations
-    j_mc.Algorithms.Jacobi.iterations;
-  let hf = Algorithms.Heat2d.manufactured_f 12 in
-  let h_sim, _ = Algorithms.Heat2d.solve_sim ~procs:4 ~tol:1e-4 ~max_iter:300 hf in
-  let h_mc, _ = Algorithms.Heat2d.solve_multicore ~procs:4 ~tol:1e-4 ~max_iter:300 hf in
-  Alcotest.(check bool) "heat2d fields identical" true
-    (h_sim.Algorithms.Heat2d.solution = h_mc.Algorithms.Heat2d.solution);
-  let b = Array.init 64 (fun i -> float_of_int (i mod 7) /. 7.0) in
-  let c_sim, _ = Algorithms.Cg.solve_sim ~procs:4 ~tol:1e-8 ~max_iter:200 b in
-  let c_mc, _ = Algorithms.Cg.solve_multicore ~procs:4 ~tol:1e-8 ~max_iter:200 b in
-  Alcotest.(check bool) "cg solutions identical" true
-    (c_sim.Algorithms.Cg.solution = c_mc.Algorithms.Cg.solution);
-  Alcotest.(check int) "cg same iteration count" c_sim.Algorithms.Cg.iterations
-    c_mc.Algorithms.Cg.iterations
-
-let test_farm_on_multicore () =
-  (* dynamic farm exercises recv_any on the multicore fabric; results are
-     indexed, so the nondeterministic interleaving does not show *)
-  let spec = Algorithms.Farm_sim.skewed_spec ~njobs:40 ~skew:8 in
-  let expected = Array.init 40 (fun i -> i * i) in
-  let got, _ = Algorithms.Farm_sim.dynamic_multicore ~procs:4 ~domains:4 spec in
-  Alcotest.(check bool) "all jobs done once" true (got = expected)
+let engines = Engine_cases.[ Engine sim; Engine (Spmd.multicore ()) ]
+let collective_program = Engine_cases.collective_program
 
 (* --- faults: timeouts, crashes, chaos on real domains --------------------- *)
-
-let test_mc_reduce_root_sweep () =
-  (* the rotated-root ordering bug, on the real engine: every root must see
-     values folded in true rank order *)
-  let procs = 4 in
-  let expected = String.concat "" (List.init procs string_of_int) in
-  for root = 0 to procs - 1 do
-    let v, _ =
-      Spmd.run_multicore_collect ~procs ~domains:4 (fun c ->
-          Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)))
-    in
-    Alcotest.(check string) (Printf.sprintf "root=%d" root) expected v
-  done
 
 let test_mc_recv_timeout_fires () =
   (* nobody sends: the receiver must get Fault.Timeout, not hang or Deadlock *)
   let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
+    collect ~procs:2 ~domains:2 (fun eng ->
         if eng.Engine.rank = 1 then
           match (eng.Engine.recv ~timeout:0.05 ~src:0 ~tag:0 () : int) with
           | _ -> Some false
@@ -343,7 +253,7 @@ let test_mc_recv_timeout_fires () =
 let test_mc_recv_timeout_in_time () =
   (* a message that arrives promptly beats a generous deadline *)
   let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
+    collect ~procs:2 ~domains:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:0 77;
           None
@@ -355,7 +265,7 @@ let test_mc_recv_timeout_in_time () =
 let test_mc_crash_is_fail_stop () =
   (* a crashed rank must not fail the run nor leak its undelivered inbox *)
   let v, _ =
-    Multicore.run_collect ~procs:3 ~domains:3 (fun eng ->
+    collect ~procs:3 ~domains:3 (fun eng ->
         match eng.Engine.rank with
         | 0 ->
             eng.Engine.send ~dest:1 ~tag:0 42;
@@ -368,12 +278,12 @@ let test_mc_crash_is_fail_stop () =
 
 let test_mc_chaos_delays_value_identical () =
   (* delay/reorder chaos on real domains: collective values unchanged *)
-  let bare, _ = Spmd.run_multicore_collect ~procs:4 ~domains:4 collective_program in
+  let bare, _ = Spmd.run (Spmd.multicore ~domains:4 ()) ~procs:4 collective_program in
   List.iter
     (fun seed ->
       let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
       let v, _ =
-        Spmd.run_multicore_collect ~procs:4 ~domains:4 ~chaos:spec collective_program
+        Spmd.run (Spmd.multicore ~domains:4 ()) ~procs:4 ~chaos:spec collective_program
       in
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (v = bare))
     [ 1; 7; 42 ]
@@ -386,7 +296,7 @@ let test_mc_farm_survives_worker_crash () =
   let expected = Array.init njobs (fun i -> i * i) in
   let chaos = { Chaos.none with Chaos.crashes = [ (2, 5) ] } in
   let got, _ =
-    Algorithms.Farm_sim.dynamic_multicore ~procs:4 ~domains:4 ~grace:0.5 ~chaos spec
+    Algorithms.Farm_sim.dynamic ~grace:0.5 ~chaos (Spmd.multicore ~domains:4 ()) ~procs:4 spec
   in
   Alcotest.(check bool) "all jobs done exactly once" true (got = expected)
 
@@ -404,7 +314,7 @@ let test_mc_chaos_stall_parks_fiber_not_domain () =
      measures ~0.1 s. *)
   let chaos = { Chaos.none with Chaos.stalls = [ (1, 0.5) ] } in
   let elapsed, _ =
-    Spmd.run_multicore_collect ~procs:2 ~domains:1 ~chaos (fun comm ->
+    Spmd.run (Spmd.multicore ~domains:1 ()) ~procs:2 ~chaos (fun comm ->
         if Comm.rank comm = 0 then begin
           let t0 = Comm.time comm in
           for _ = 1 to 10 do
@@ -448,17 +358,13 @@ let suite =
         Alcotest.test_case "barrier 1000 rounds" `Slow test_barrier_rounds;
         Alcotest.test_case "8 ranks on 2 domains" `Quick test_multiplexed_ranks;
       ] );
-    ( "engine-equivalence",
-      [
-        Alcotest.test_case "collectives p=1/2/4" `Quick test_engine_equivalence_collectives;
-        Alcotest.test_case "hyperquicksort p=1/2/4" `Quick test_engine_equivalence_hyperquicksort;
-        Alcotest.test_case "cannon and summa" `Quick test_engine_equivalence_cannon_summa;
-        Alcotest.test_case "jacobi/heat2d/cg" `Slow test_engine_equivalence_solvers;
-        Alcotest.test_case "dynamic farm (recv_any)" `Quick test_farm_on_multicore;
-      ] );
+    Engine_cases.group "engine-equivalence" Engine_cases.equivalence engines;
+    Engine_cases.group "collect" Engine_cases.collect engines;
+    Engine_cases.group "farm" Engine_cases.farm engines;
+    Engine_cases.group "runner" Engine_cases.runner engines;
+    Engine_cases.group "validation" Engine_cases.validation engines;
     ( "faults",
       [
-        Alcotest.test_case "reduce root sweep" `Quick test_mc_reduce_root_sweep;
         Alcotest.test_case "recv timeout fires" `Quick test_mc_recv_timeout_fires;
         Alcotest.test_case "in-time delivery beats deadline" `Quick test_mc_recv_timeout_in_time;
         Alcotest.test_case "crash is fail-stop" `Quick test_mc_crash_is_fail_stop;
@@ -487,10 +393,10 @@ let test_float_array_zero_copy () =
       let (b : float array) = Comm.recv comm ~src:0 () in
       Some (b == a, b = a)
   in
-  let (mc_same, mc_equal), _ = Spmd.run_multicore_collect ~procs:2 ~domains:1 program in
+  let (mc_same, mc_equal), _ = Spmd.run (Spmd.multicore ~domains:1 ()) ~procs:2 program in
   Alcotest.(check bool) "multicore: physically the sender's array" true mc_same;
   Alcotest.(check bool) "multicore: contents intact" true mc_equal;
-  let (sim_same, sim_equal), stats = Spmd.run_collect ~procs:2 program in
+  let (sim_same, sim_equal), stats = Spmd.run (Spmd.sim ()) ~procs:2 program in
   Alcotest.(check bool) "sim: a copy, not the sender's array" false sim_same;
   Alcotest.(check bool) "sim: structurally equal" true sim_equal;
   Alcotest.(check int) "sim: one message" 1 stats.Sim.total_msgs;
@@ -512,7 +418,7 @@ let test_send_recv_allocation_free () =
   let batch = 1_000 and batches = 10 in
   let rounds = batch * batches in
   let delta, _ =
-    Multicore.run_collect ~procs:2 ~domains:1 (fun eng ->
+    collect ~procs:2 ~domains:1 (fun eng ->
         if eng.Engine.rank = 0 then begin
           (* Warm up with one full batch: grows both mailbox rings to their
              steady-state capacity and exercises the effect handler once, so

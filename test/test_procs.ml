@@ -18,10 +18,13 @@ let contains msg needle =
   let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
   go 0
 
+(* Engine-level programs, collected through the one runner. *)
+let collect ~procs f = Spmd.run Spmd.Procs ~procs (fun c -> f (Comm.engine c))
+
 (* --- fabric basics ------------------------------------------------------ *)
 
 let test_single_rank () =
-  let v, stats = Procs.run_collect ~procs:1 (fun eng -> Some (eng.Engine.rank + 41)) in
+  let v, stats = collect ~procs:1 (fun eng -> Some (eng.Engine.rank + 41)) in
   Alcotest.(check int) "value" 41 v;
   Alcotest.(check int) "no messages" 0 stats.Procs.total_msgs;
   Alcotest.(check int) "one process" 1 stats.Procs.procs_used;
@@ -29,7 +32,7 @@ let test_single_rank () =
 
 let test_ping_pong () =
   let v, stats =
-    Procs.run_collect ~procs:2 (fun eng ->
+    collect ~procs:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:5 "ping";
           let (s : string) = eng.Engine.recv ~src:1 ~tag:6 () in
@@ -49,7 +52,7 @@ let test_ping_pong () =
    frame until it is asked for, FIFO per (source, tag). *)
 let test_tag_discipline_out_of_order () =
   let v, _ =
-    Procs.run_collect ~procs:2 (fun eng ->
+    collect ~procs:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:1 10;
           eng.Engine.send ~dest:1 ~tag:2 20;
@@ -74,7 +77,7 @@ let test_recv_timeout_fires () =
   (* nobody sends: the receiver must get Fault.Timeout via the select
      deadline, not hang *)
   let v, _ =
-    Procs.run_collect ~procs:2 (fun eng ->
+    collect ~procs:2 (fun eng ->
         if eng.Engine.rank = 1 then
           match (eng.Engine.recv ~timeout:0.05 ~src:0 ~tag:0 () : int) with
           | _ -> Some false
@@ -85,7 +88,7 @@ let test_recv_timeout_fires () =
 
 let test_recv_timeout_in_time () =
   let v, _ =
-    Procs.run_collect ~procs:2 (fun eng ->
+    collect ~procs:2 (fun eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:0 77;
           None
@@ -144,10 +147,10 @@ let test_unserializable_closure_rejected () =
         (contains msg "cannot cross a process boundary")
 
 let test_unserializable_result_rejected () =
-  match Procs.run_collect ~procs:1 (fun _eng -> Some (fun x -> x * 2)) with
+  match collect ~procs:1 (fun _eng -> Some (fun x -> x * 2)) with
   | _ -> Alcotest.fail "expected Fault.Unserializable"
   | exception Fault.Unserializable msg ->
-      Alcotest.(check bool) "collect site named" true (contains msg "run_collect")
+      Alcotest.(check bool) "collect site named" true (contains msg "Spmd.run")
 
 (* --- real crashes --------------------------------------------------------- *)
 
@@ -158,7 +161,7 @@ let test_real_kill_mid_protocol_is_crashed () =
      must surface Fault.Crashed when its peer's socket hits EOF without
      a goodbye *)
   match
-    Spmd.run_procs_collect ~procs:4 (fun comm ->
+    Spmd.run Spmd.Procs ~procs:4 (fun comm ->
         if Comm.rank comm = 2 then kill_self ();
         let s = Comm.allreduce comm ( + ) (Comm.rank comm) in
         if Comm.rank comm = 0 then Some s else None)
@@ -171,7 +174,7 @@ let test_real_kill_timed_recv_still_times_out () =
      peer death to Crashed — it waits out the deadline and raises
      Timeout, which is all the farm master catches *)
   let v, stats =
-    Procs.run_collect ~procs:2 (fun eng ->
+    collect ~procs:2 (fun eng ->
         if eng.Engine.rank = 1 then kill_self ();
         if eng.Engine.rank = 0 then
           match (eng.Engine.recv ~timeout:0.3 ~src:1 ~tag:0 () : int) with
@@ -187,7 +190,7 @@ let test_chaos_crash_is_fail_stop () =
   (* Chaos's Fault.Crashed self-raise fail-stops the real process: no
      goodbye, sockets slammed shut, run completes without it *)
   let v, stats =
-    Procs.run_collect ~procs:3 (fun eng ->
+    collect ~procs:3 (fun eng ->
         match eng.Engine.rank with
         | 0 ->
             eng.Engine.send ~dest:1 ~tag:0 42;
@@ -199,164 +202,30 @@ let test_chaos_crash_is_fail_stop () =
   Alcotest.(check string) "live ranks finish" "alive" v;
   Alcotest.(check (list int)) "crash recorded" [ 1 ] stats.Procs.crashed
 
-(* --- engine equivalence: same program, identical values ------------------ *)
+(* --- engine equivalence: the shared cases on sim and procs ----------------- *)
 
-let collective_program (comm : Comm.t) =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let reduced = Comm.allreduce comm ( + ) (me + 1) in
-  let scanned = Comm.scan comm ( + ) (me + 1) in
-  let gathered = Comm.allgather comm (me * me) in
-  let transposed = Comm.alltoall comm (Array.init p (fun j -> (me * 100) + j)) in
-  let sub = Comm.split comm ~color:(me mod 2) ~key:me in
-  let sub_sum = Comm.allreduce sub ( + ) me in
-  let everything = (reduced, scanned, gathered, transposed, sub_sum) in
-  match Comm.gather comm ~root:0 everything with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
-let test_engine_equivalence_collectives () =
-  List.iter
-    (fun procs ->
-      let sim, _ = Spmd.run_collect ~procs collective_program in
-      let pr, _ = Spmd.run_procs_collect ~procs collective_program in
-      Alcotest.(check bool) (Printf.sprintf "collectives agree at p=%d" procs) true (sim = pr))
-    [ 1; 2; 4 ]
-
-(* The bcast/scatter/gather/allgather battery over boxed payloads; the
-   float arrays cross the sockets marshalled, so the values must come
-   back bitwise-identical to the simulator's. *)
-let bs_program (comm : Comm.t) =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let b = Comm.bcast comm ~root:0 (if me = 0 then Some "root-word" else None) in
-  let sc = Comm.scatter comm ~root:0 (if me = 0 then Some (Array.init p (fun j -> j * 7)) else None) in
-  let g = Comm.gather comm ~root:0 (me * 11) in
-  let ag = Comm.allgather comm (me + 100) in
-  let bf =
-    Comm.bcast comm ~root:0
-      (if me = 0 then Some (Array.init 5 (fun i -> 1.0 /. float_of_int (i + 1))) else None)
-  in
-  let sf =
-    Comm.scatter comm ~root:0
-      (if me = 0 then Some (Array.init p (fun j -> Array.init 3 (fun i -> float_of_int ((3 * j) + i) *. 0.5)))
-       else None)
-  in
-  let gf = Comm.gather comm ~root:0 (Array.init 2 (fun i -> float_of_int ((me * 10) + i))) in
-  let agf = Comm.allgather comm [| float_of_int me +. 0.25 |] in
-  let everything =
-    ( b,
-      sc,
-      (match g with Some a -> Array.to_list a | None -> []),
-      Array.to_list ag,
-      bf,
-      sf,
-      (match gf with Some a -> Array.to_list a | None -> []),
-      Array.to_list agf )
-  in
-  match Comm.gather comm ~root:0 everything with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
-let test_collective_battery () =
-  List.iter
-    (fun procs ->
-      let sim, _ = Spmd.run_collect ~procs bs_program in
-      let pr, _ = Spmd.run_procs_collect ~procs bs_program in
-      Alcotest.(check bool)
-        (Printf.sprintf "bcast/scatter/gather/allgather agree at p=%d" procs)
-        true (sim = pr))
-    [ 2; 4 ]
-
-let test_reduce_root_sweep () =
-  (* every root must see values folded in true rank order (the PR 5
-     rotated-root bug), now across process boundaries *)
-  let procs = 4 in
-  let expected = String.concat "" (List.init procs string_of_int) in
-  for root = 0 to procs - 1 do
-    let v, _ =
-      Spmd.run_procs_collect ~procs (fun c ->
-          match Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)) with
-          | Some s -> Some s
-          | None -> None)
-    in
-    Alcotest.(check string) (Printf.sprintf "root=%d" root) expected v
-  done
-
-let test_engine_equivalence_hyperquicksort () =
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Array.init 600 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
-  let reference = Array.copy data in
-  Array.sort compare reference;
-  List.iter
-    (fun procs ->
-      let sim, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-      let pr, _ = Algorithms.Hyperquicksort.sort_procs ~procs data in
-      Alcotest.(check bool) (Printf.sprintf "sim output sorted at p=%d" procs) true
-        (sim = reference);
-      Alcotest.(check bool) (Printf.sprintf "procs output identical at p=%d" procs) true
-        (pr = sim))
-    [ 1; 2; 4 ]
-
-(* Each rank sorts its own scattered copy in place: the forked ranks must
-   leave the caller's array unchanged. *)
-let test_hqs_procs_caller_data_untouched () =
-  let rng = Runtime.Xoshiro.of_seed 12 in
-  let data = Array.init 600 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
-  let saved = Array.copy data in
-  List.iter
-    (fun procs ->
-      let _ = Algorithms.Hyperquicksort.sort_procs ~procs data in
-      Alcotest.(check (array int)) (Printf.sprintf "data unchanged at p=%d" procs) saved data)
-    [ 1; 2; 4 ]
+let engines = Engine_cases.[ Engine sim; Engine Spmd.Procs ]
+let collective_program = Engine_cases.collective_program
 
 (* --- chaos on real processes --------------------------------------------- *)
 
 let test_chaos_zero_fault_value_identical () =
-  let bare, _ = Spmd.run_procs_collect ~procs:4 collective_program in
-  let wrapped, _ = Spmd.run_procs_collect ~procs:4 ~chaos:Chaos.none collective_program in
+  let bare, _ = Spmd.run Spmd.Procs ~procs:4 collective_program in
+  let wrapped, _ = Spmd.run Spmd.Procs ~procs:4 ~chaos:Chaos.none collective_program in
   Alcotest.(check bool) "Chaos.none changes nothing" true (bare = wrapped)
 
 let test_chaos_delays_value_identical () =
-  let bare, _ = Spmd.run_procs_collect ~procs:4 collective_program in
+  let bare, _ = Spmd.run Spmd.Procs ~procs:4 collective_program in
   List.iter
     (fun seed ->
       let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-      let v, _ = Spmd.run_procs_collect ~procs:4 ~chaos:spec collective_program in
+      let v, _ = Spmd.run Spmd.Procs ~procs:4 ~chaos:spec collective_program in
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (v = bare))
     [ 1; 7; 42 ]
 
 (* --- the crash-tolerant farm, driven by real process deaths --------------- *)
 
 let farm_expected njobs = Array.init njobs (fun i -> i * i)
-
-let test_farm_on_procs () =
-  List.iter
-    (fun procs ->
-      let njobs = 24 in
-      let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-      let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs spec in
-      Alcotest.(check bool)
-        (Printf.sprintf "all jobs done once at p=%d" procs)
-        true
-        (got = farm_expected njobs);
-      Alcotest.(check (list int)) "no crashes" [] stats.Procs.crashed)
-    [ 2; 4 ]
-
-let test_farm_survives_chaos_worker_crash () =
-  (* rank 2 fail-stops on its 2nd communication op — the receive of its
-     first deal, so it dies holding whatever the master dealt it — on
-     this engine that is a process dying with its sockets; the master's
-     grace timeouts detect the silence and re-deal its job.  A later
-     crash point would be scheduling-dependent: jobs cost no wall time
-     here, so on a loaded host ranks 1 and 3 can drain the farm before
-     rank 2 reaches it, and rank 2 would be pilled before crashing. *)
-  let njobs = 24 in
-  let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-  let chaos = { Chaos.none with Chaos.crashes = [ (2, 2) ] } in
-  let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.5 ~chaos spec in
-  Alcotest.(check bool) "all jobs done exactly once" true (got = farm_expected njobs);
-  Alcotest.(check (list int)) "the crash is recorded" [ 2 ] stats.Procs.crashed
 
 let test_farm_survives_real_kill () =
   (* the end-to-end scenario this engine exists for: a worker is
@@ -368,7 +237,7 @@ let test_farm_survives_real_kill () =
   let njobs = 16 in
   let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:4 in
   let got, stats =
-    Spmd.run_procs_collect ~procs:4 (fun comm ->
+    Spmd.run Spmd.Procs ~procs:4 (fun comm ->
         if Comm.rank comm = 3 then begin
           Comm.send comm ~dest:0 ~tag:7001 (`Request : [ `Request | `Result of int * int ]);
           let (_job : int) = Comm.recv comm ~src:0 ~tag:7002 () in
@@ -379,16 +248,6 @@ let test_farm_survives_real_kill () =
   in
   Alcotest.(check bool) "all jobs done despite the kill" true (got = farm_expected njobs);
   Alcotest.(check (list int)) "the dead worker is recorded" [ 3 ] stats.Procs.crashed
-
-let test_farm_all_workers_lost () =
-  (* every worker dies: with grace armed the master must fail loudly
-     rather than hang on dead sockets *)
-  let spec = Algorithms.Farm_sim.skewed_spec ~njobs:12 ~skew:4 in
-  let chaos = { Chaos.none with Chaos.crashes = [ (1, 3); (2, 3); (3, 3) ] } in
-  match Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.4 ~chaos spec with
-  | _ -> Alcotest.fail "expected loud failure"
-  | exception Failure msg ->
-      Alcotest.(check bool) "all-lost reported" true (contains msg "all workers lost")
 
 let suite =
   [
@@ -417,29 +276,20 @@ let suite =
           test_real_kill_timed_recv_still_times_out;
         Alcotest.test_case "chaos crash is fail-stop" `Quick test_chaos_crash_is_fail_stop;
       ] );
-    ( "engine-equivalence",
-      [
-        Alcotest.test_case "collectives p=1/2/4" `Quick test_engine_equivalence_collectives;
-        Alcotest.test_case "bcast/scatter/gather/allgather p=2/4" `Quick test_collective_battery;
-        Alcotest.test_case "reduce root sweep" `Quick test_reduce_root_sweep;
-        Alcotest.test_case "hyperquicksort p=1/2/4" `Quick test_engine_equivalence_hyperquicksort;
-        Alcotest.test_case "hyperquicksort leaves caller data p=1/2/4" `Quick
-          test_hqs_procs_caller_data_untouched;
-      ] );
+    Engine_cases.group "engine-equivalence" Engine_cases.equivalence engines;
+    Engine_cases.group "collect" Engine_cases.collect engines;
+    Engine_cases.group "runner" Engine_cases.runner engines;
+    Engine_cases.group "validation" Engine_cases.validation engines;
     ( "chaos",
       [
         Alcotest.test_case "zero-fault wrap is value-identical" `Quick
           test_chaos_zero_fault_value_identical;
         Alcotest.test_case "delays preserve values" `Quick test_chaos_delays_value_identical;
       ] );
-    ( "farm",
-      [
-        Alcotest.test_case "dynamic farm p=2/4" `Quick test_farm_on_procs;
-        Alcotest.test_case "survives chaos worker crash" `Quick
-          test_farm_survives_chaos_worker_crash;
-        Alcotest.test_case "survives a real SIGKILL" `Quick test_farm_survives_real_kill;
-        Alcotest.test_case "all workers lost fails loudly" `Quick test_farm_all_workers_lost;
-      ] );
+    (let name, cases = Engine_cases.group "farm" Engine_cases.farm engines in
+     ( name,
+       cases @ [ Alcotest.test_case "survives a real SIGKILL" `Quick test_farm_survives_real_kill ]
+     ));
   ]
 
 let () = Alcotest.run "procs" suite

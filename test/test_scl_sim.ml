@@ -3,14 +3,19 @@
    reference) semantics, and costs must behave sensibly. *)
 
 open Machine
+module Spmd = Scl_sim.Spmd
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-let run ?(procs = 4) ?(cost = Cost_model.ap1000) f = Scl_sim.Spmd.run ~cost ~procs f
+let run ?(procs = 4) ?(cost = Cost_model.ap1000) f =
+  snd
+    (Spmd.run (Spmd.sim ~cost ()) ~procs (fun comm ->
+         f comm;
+         Some ()))
 
 let run_collect ?(procs = 4) ?(cost = Cost_model.ap1000) f =
-  Scl_sim.Spmd.run_collect ~cost ~procs f
+  Spmd.run (Spmd.sim ~cost ()) ~procs f
 
 (* Round-trip a root array through a Dvec operation and collect at root. *)
 let via_dvec ~procs op (a : int array) : int array =
@@ -281,7 +286,7 @@ let prop_summa_matches_seq =
       let rng = Runtime.Xoshiro.of_seed ((q * 17) + scale) in
       let a = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0)) in
       let b = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0)) in
-      let c, _ = Algorithms.Summa.multiply_sim ~grid:q a b in
+      let c, _ = Algorithms.Summa.multiply (Spmd.sim ()) ~grid:q a b in
       mat_close c (seq_matmul a b))
 
 let test_summa_vs_cannon_cost () =
@@ -293,8 +298,8 @@ let test_summa_vs_cannon_cost () =
   let a = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 1.0)) in
   let b = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 1.0)) in
   let latency_bound = { Cost_model.ap1000 with alpha = 1e-3 } in
-  let c1, s_summa = Algorithms.Summa.multiply_sim ~cost:latency_bound ~grid:4 a b in
-  let c2, s_cannon = Algorithms.Cannon.multiply_sim ~cost:latency_bound ~grid:4 a b in
+  let c1, s_summa = Algorithms.Summa.multiply (Spmd.sim ~cost:latency_bound ()) ~grid:4 a b in
+  let c2, s_cannon = Algorithms.Cannon.multiply (Spmd.sim ~cost:latency_bound ()) ~grid:4 a b in
   Alcotest.(check bool) "same product" true (mat_close c1 c2);
   Alcotest.(check bool) "cannon faster when latency dominates" true
     (s_cannon.Sim.makespan < s_summa.Sim.makespan)

@@ -5,17 +5,14 @@
                [--search-cases N] [--tolerance F] [--no-pool] [--out FILE]
 
    Phases:
-     0. procs equivalence — hyperquicksort and the collective battery
-                            must produce identical values on the
-                            simulator and on the forked-process engine
-                            [Machine.Procs] at p ∈ {1, 2, 4}, and the
-                            farm must survive a seeded chaos worker
-                            crash on real processes (the crash is a
-                            child dying with its sockets) with the dead
-                            rank reported in [stats.crashed].  Runs
-                            FIRST: OCaml permanently refuses Unix.fork
-                            once any other domain has ever been created
-                            in the process.
+     0. procs equivalence — the engine checks of phase 5, run on the
+                            forked-process engine [Machine.Procs]; a
+                            crashed farm worker is a child dying with
+                            its sockets, and the dead rank must be
+                            reported in [stats.crashed].  Runs FIRST:
+                            OCaml permanently refuses Unix.fork once any
+                            other domain has ever been created in the
+                            process.
      1. rule oracle       — every rule in Transform.Rules.all gets
                             [--rule-cases] generated pipelines in which it
                             fires; eval (rewrite e) must equal eval e.
@@ -33,14 +30,17 @@
                             (each also with ~optimize:true), and Sim_exec
                             at procs 1/2/4 (flat pipelines only); all must
                             agree.
-     5. engine equivalence — [--engine-cases] seeded inputs per program:
-                            hyperquicksort, Cannon, and a collective
-                            battery (allreduce/scan/allgather) must
-                            produce identical values on the simulator and
-                            on the real-domain multicore engine at
-                            p ∈ {1, 2, 4} (grids 1 and 2 for Cannon).
-                            The forked-process legs of the same programs
-                            live in phase 0.
+     5. engine equivalence — one case list, run through Spmd.run on a
+                            backend: [--engine-cases] seeded inputs per
+                            program (hyperquicksort, Cannon, and a
+                            collective battery of allreduce/scan/
+                            allgather) must produce identical values on
+                            the simulator and on the real-domain
+                            multicore engine at p ∈ {1, 2, 4} (grids 1
+                            and 2 for Cannon), and [--fault-cases]
+                            seeded farm runs must survive a worker
+                            crash.  Phase 0 runs the same list on the
+                            forked-process engine.
      6. topology cost     — for a hypercube-exchange program
                             (hyperquicksort), the simulated makespan on a
                             Hypercube must not exceed the makespan on a
@@ -98,6 +98,8 @@
    On failure: prints the shrunk counterexample (Ast.to_string + input +
    seed + case index), optionally writes it to --out, exits 1.
    Exit codes: 0 all pass, 1 divergence found, 2 usage error / gave up. *)
+
+module Spmd = Scl_sim.Spmd
 
 let usage =
   "diffcheck [--budget N] [--seed S] [--rule-cases N] [--cost-cases N] [--fused-cases N] \
@@ -214,63 +216,87 @@ let () =
       (Comm.gather comm ~root:0 (reduced, scanned, gathered, transposed))
   in
 
-  (* phase 0: forked-process engine equivalence + faults.  This MUST run
-     first: OCaml permanently refuses [Unix.fork] once any other domain
-     has EVER been created in the process, so every [Machine.Procs] leg
-     has to run before the pool phases or any multicore case spawns a
-     domain. *)
-  let ok_procs =
+  (* Phases 0 and 5 share one seeded case list, run on one backend each:
+     every value must equal the simulator's, and the farm must survive a
+     seeded chaos worker crash (on procs a child dying with its sockets,
+     with the dead rank reported in [stats.crashed]).  Workload shapes
+     derive from the case seed too: a nightly run with a random seed
+     explores different lengths/bounds/matrix sizes, not merely different
+     data for one fixed shape. *)
+  let engine_checks (type s) (backend : s Spmd.backend) =
     let open Machine in
+    let sim = Spmd.sim () and engine = Spmd.name backend in
     let cases = ref [] in
-    let add label f = cases := (label, f) :: !cases in
+    let add label f = cases := (Printf.sprintf "%s on %s" label engine, f) :: !cases in
+    let differ what = Some (Printf.sprintf "sim and %s %s differ" engine what) in
     for k = 0 to !engine_cases - 1 do
       let case_seed = !seed + (1009 * k) in
       let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x5eed) in
-      let len = 64 * (4 + Runtime.Xoshiro.int shape 12) in
+      let len = 64 * (4 + Runtime.Xoshiro.int shape 12) (* 256..1024, all p divide *) in
       let bound = 1_000 + Runtime.Xoshiro.int shape 99_000 in
+      let blk = 3 + Runtime.Xoshiro.int shape 6 (* cannon block edge 3..8 *) in
       List.iter
         (fun procs ->
           add
-            (Printf.sprintf "hyperquicksort procs p=%d len=%d bound=%d seed=%d" procs len bound
-               case_seed)
+            (Printf.sprintf "hyperquicksort p=%d len=%d bound=%d seed=%d" procs len bound case_seed)
             (fun () ->
               let rng = Runtime.Xoshiro.of_seed case_seed in
               let data = Runtime.Xoshiro.int_array rng ~len ~bound in
-              let s, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-              let f, _ = Algorithms.Hyperquicksort.sort_procs ~procs data in
-              if s = f then None else Some "sim and forked-process outputs differ");
+              let s, _ = Algorithms.Hyperquicksort.sort sim ~procs data in
+              let e, _ = Algorithms.Hyperquicksort.sort backend ~procs data in
+              if s = e then None else differ "outputs");
           add
-            (Printf.sprintf "collectives procs p=%d seed=%d" procs case_seed)
+            (Printf.sprintf "collectives p=%d seed=%d" procs case_seed)
             (fun () ->
-              let s, _ = Scl_sim.Spmd.run_collect ~procs collective_battery in
-              let f, _ = Scl_sim.Spmd.run_procs_collect ~procs collective_battery in
-              if s = f then None else Some "forked-process collective values differ"))
-        [ 1; 2; 4 ]
+              let s, _ = Spmd.run sim ~procs collective_battery in
+              let e, _ = Spmd.run backend ~procs collective_battery in
+              if s = e then None else differ "collective values"))
+        [ 1; 2; 4 ];
+      List.iter
+        (fun grid ->
+          add
+            (Printf.sprintf "cannon grid=%d n=%d seed=%d" grid (blk * grid) case_seed)
+            (fun () ->
+              let n = blk * grid in
+              let a = Algorithms.Cannon.random_matrix ~seed:case_seed n in
+              let b = Algorithms.Cannon.random_matrix ~seed:(case_seed + 1) n in
+              let s, _ = Algorithms.Cannon.multiply sim ~grid a b in
+              let e, _ = Algorithms.Cannon.multiply backend ~grid a b in
+              if s = e then None else differ "cannon products"))
+        [ 1; 2 ]
     done;
     for k = 0 to !fault_cases - 1 do
       let case_seed = !seed + (1013 * k) in
       let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x9c5) in
       let crash_op = 1 + Runtime.Xoshiro.int shape 10 in
       add
-        (Printf.sprintf "farm worker crash procs op=%d seed=%d" crash_op case_seed)
+        (Printf.sprintf "farm worker crash op=%d seed=%d" crash_op case_seed)
         (fun () ->
-          (* a chaos crash on this engine is a forked child dying with
-             its sockets; recovery is the master's grace timeouts +
-             re-dealing over the live pipes *)
           let njobs = 24 + Runtime.Xoshiro.int shape 24 in
           let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
           let victim = 1 + Runtime.Xoshiro.int shape 3 in
           let chaos = { Chaos.none with Chaos.crashes = [ (victim, crash_op) ] } in
-          let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.5 ~chaos spec in
+          let got, stats = Algorithms.Farm_sim.dynamic ~grace:0.5 ~chaos backend ~procs:4 spec in
           if got <> Array.init njobs (fun i -> i * i) then
-            Some "procs farm lost or corrupted results under a worker crash"
-          else if stats.Procs.crashed <> [ victim ] then
-            Some
-              (Printf.sprintf "procs farm crash list wrong: expected [%d], got [%s]" victim
-                 (String.concat "; " (List.map string_of_int stats.Procs.crashed)))
-          else None)
+            Some "farm lost or corrupted results under a worker crash"
+          else
+            match backend with
+            | Spmd.Procs when stats.Procs.crashed <> [ victim ] ->
+                Some
+                  (Printf.sprintf "procs farm crash list wrong: expected [%d], got [%s]" victim
+                     (String.concat "; " (List.map string_of_int stats.Procs.crashed)))
+            | _ -> None)
     done;
-    report_checks ~phase:"procs-equivalence + faults" (List.rev !cases)
+    List.rev !cases
+  in
+
+  (* phase 0: the shared engine checks on the forked-process engine.  This
+     MUST run first: OCaml permanently refuses [Unix.fork] once any other
+     domain has EVER been created in the process, so every
+     [Machine.Procs] leg has to run before the pool phases or any
+     multicore case spawns a domain. *)
+  let ok_procs =
+    report_checks ~phase:"procs-equivalence + faults" (engine_checks Spmd.Procs)
   in
 
   (* phase 1: rule oracle *)
@@ -322,52 +348,11 @@ let () =
     end
   in
 
-  (* phase 5: engine equivalence — identical values from the simulator and
-     the real-domain multicore engine for the same SPMD program.  (The
-     forked-process legs are phase 0: fork must precede any domain.) *)
+  (* phase 5: the same engine checks on the real-domain multicore engine
+     (the forked-process legs are phase 0: fork must precede any domain). *)
   let ok_engine =
-    let cases = ref [] in
-    let add label f = cases := (label, f) :: !cases in
-    for k = 0 to !engine_cases - 1 do
-      let case_seed = !seed + (1009 * k) in
-      (* workload shape derived from the seed too: a nightly run with a
-         random seed explores different lengths/bounds/matrix sizes, not
-         merely different data for one fixed shape *)
-      let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x5eed) in
-      let len = 64 * (4 + Runtime.Xoshiro.int shape 12) (* 256..1024, all p divide *) in
-      let bound = 1_000 + Runtime.Xoshiro.int shape 99_000 in
-      let blk = 3 + Runtime.Xoshiro.int shape 6 (* cannon block edge 3..8 *) in
-      List.iter
-        (fun procs ->
-          add
-            (Printf.sprintf "hyperquicksort p=%d len=%d bound=%d seed=%d" procs len bound case_seed)
-            (fun () ->
-              let rng = Runtime.Xoshiro.of_seed case_seed in
-              let data = Runtime.Xoshiro.int_array rng ~len ~bound in
-              let s, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-              let m, _ = Algorithms.Hyperquicksort.sort_multicore ~procs data in
-              if s = m then None else Some "sim and multicore outputs differ");
-          add
-            (Printf.sprintf "collectives p=%d seed=%d" procs case_seed)
-            (fun () ->
-              let s, _ = Scl_sim.Spmd.run_collect ~procs collective_battery in
-              let m, _ = Scl_sim.Spmd.run_multicore_collect ~procs collective_battery in
-              if s = m then None else Some "collective values differ"))
-        [ 1; 2; 4 ];
-      List.iter
-        (fun grid ->
-          add
-            (Printf.sprintf "cannon grid=%d n=%d seed=%d" grid (blk * grid) case_seed)
-            (fun () ->
-              let n = blk * grid in
-              let a = Algorithms.Cannon.random_matrix ~seed:case_seed n in
-              let b = Algorithms.Cannon.random_matrix ~seed:(case_seed + 1) n in
-              let s, _ = Algorithms.Cannon.multiply_sim ~grid a b in
-              let m, _ = Algorithms.Cannon.multiply_multicore ~grid a b in
-              if s = m then None else Some "cannon products differ"))
-        [ 1; 2 ]
-    done;
-    report_checks ~phase:"engine-equivalence" (List.rev !cases)
+    report_checks ~phase:"multicore-equivalence + faults"
+      (engine_checks (Spmd.multicore ()))
   in
 
   (* phase 6: topology cost — hyperquicksort's messages all travel between
@@ -388,10 +373,11 @@ let () =
                   let rng = Runtime.Xoshiro.of_seed case_seed in
                   let data = Runtime.Xoshiro.int_array rng ~len:1024 ~bound:100_000 in
                   let _, cube =
-                    Algorithms.Hyperquicksort.sort_sim ~topology:Topology.Hypercube ~procs data
+                    Algorithms.Hyperquicksort.sort (Spmd.sim ~topology:Topology.Hypercube ()) ~procs
+                      data
                   in
                   let _, ring =
-                    Algorithms.Hyperquicksort.sort_sim ~topology:Topology.Ring ~procs data
+                    Algorithms.Hyperquicksort.sort (Spmd.sim ~topology:Topology.Ring ()) ~procs data
                   in
                   if cube.Sim.makespan <= ring.Sim.makespan *. (1.0 +. 1e-9) then None
                   else
@@ -436,25 +422,25 @@ let () =
             (Printf.sprintf "chaos-delay p=%d prob=%.2f hold=%d seed=%d" procs prob max_hold
                case_seed)
             (fun () ->
-              let bare, _ = Scl_sim.Spmd.run_collect ~procs chaos_battery in
+              let bare, _ = Spmd.run (Spmd.sim ()) ~procs chaos_battery in
               let spec = Chaos.delays ~seed:case_seed ~prob ~max_hold () in
-              let v, _ = Scl_sim.Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+              let v, _ = Spmd.run (Spmd.sim ()) ~procs ~chaos:spec chaos_battery in
               if v = bare then None else Some "delay chaos changed collective values");
           add
             (Printf.sprintf "chaos-straggler p=%d stall=%.2gs seed=%d" procs stall case_seed)
             (fun () ->
-              let bare, _ = Scl_sim.Spmd.run_collect ~procs chaos_battery in
+              let bare, _ = Spmd.run (Spmd.sim ()) ~procs chaos_battery in
               let straggler = 1 + Runtime.Xoshiro.int shape (procs - 1) in
               let spec = { Chaos.none with Chaos.stalls = [ (straggler, stall) ] } in
-              let v, _ = Scl_sim.Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+              let v, _ = Spmd.run (Spmd.sim ()) ~procs ~chaos:spec chaos_battery in
               if v = bare then None else Some "straggler chaos changed collective values"))
         [ 2; 4; 8 ];
       add
         (Printf.sprintf "chaos-delay multicore p=4 seed=%d" case_seed)
         (fun () ->
-          let bare, _ = Scl_sim.Spmd.run_multicore_collect ~procs:4 chaos_battery in
+          let bare, _ = Spmd.run (Spmd.multicore ()) ~procs:4 chaos_battery in
           let spec = Chaos.delays ~seed:case_seed ~prob ~max_hold () in
-          let v, _ = Scl_sim.Spmd.run_multicore_collect ~procs:4 ~chaos:spec chaos_battery in
+          let v, _ = Spmd.run (Spmd.multicore ()) ~procs:4 ~chaos:spec chaos_battery in
           if v = bare then None else Some "delay chaos changed multicore values");
       add
         (Printf.sprintf "farm worker crash op=%d seed=%d" crash_op case_seed)
@@ -463,14 +449,14 @@ let () =
           let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
           let victim = 1 + Runtime.Xoshiro.int shape 3 in
           let chaos = { Chaos.none with Chaos.crashes = [ (victim, crash_op) ] } in
-          let got, _ = Algorithms.Farm_sim.dynamic ~procs:4 ~grace:0.5 ~chaos spec in
+          let got, _ = Algorithms.Farm_sim.dynamic (Spmd.sim ()) ~procs:4 ~grace:0.5 ~chaos spec in
           if got = Array.init njobs (fun i -> i * i) then None
           else Some "farm lost or corrupted results under a worker crash");
       add
         (Printf.sprintf "zero-fault wrap bit-identical seed=%d" case_seed)
         (fun () ->
-          let bare, s0 = Scl_sim.Spmd.run_collect ~procs:4 chaos_battery in
-          let v, s1 = Scl_sim.Spmd.run_collect ~procs:4 ~chaos:Chaos.none chaos_battery in
+          let bare, s0 = Spmd.run (Spmd.sim ()) ~procs:4 chaos_battery in
+          let v, s1 = Spmd.run (Spmd.sim ()) ~procs:4 ~chaos:Chaos.none chaos_battery in
           if v = bare && s0.Sim.makespan = s1.Sim.makespan && s0.Sim.total_msgs = s1.Sim.total_msgs
           then None
           else
@@ -638,9 +624,12 @@ let () =
       add
         (Printf.sprintf "jacobi multicore=sim p=3 n=%d seed=%d" jn case_seed)
         (fun () ->
-          let r0, _ = Algorithms.Jacobi.solve_sim ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25) in
+          let r0, _ =
+            Algorithms.Jacobi.solve ~tol:1e-7 (Spmd.sim ()) ~procs:3 jf ~left:0.5 ~right:(-0.25)
+          in
           let r1, _ =
-            Algorithms.Jacobi.solve_multicore ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
+            Algorithms.Jacobi.solve ~tol:1e-7 (Spmd.multicore ()) ~procs:3 jf ~left:0.5
+              ~right:(-0.25)
           in
           diverged "jacobi"
             (r0.Algorithms.Jacobi.iterations, r0.Algorithms.Jacobi.solution)
@@ -648,16 +637,16 @@ let () =
       add
         (Printf.sprintf "cg multicore=sim p=3 n=%d seed=%d" cn case_seed)
         (fun () ->
-          let r0, _ = Algorithms.Cg.solve_sim ~procs:3 ~tol:1e-10 cb in
-          let r1, _ = Algorithms.Cg.solve_multicore ~procs:3 ~tol:1e-10 cb in
+          let r0, _ = Algorithms.Cg.solve (Spmd.sim ()) ~procs:3 ~tol:1e-10 cb in
+          let r1, _ = Algorithms.Cg.solve (Spmd.multicore ()) ~procs:3 ~tol:1e-10 cb in
           diverged "cg"
             (r0.Algorithms.Cg.iterations, r0.Algorithms.Cg.solution)
             (r1.Algorithms.Cg.iterations, r1.Algorithms.Cg.solution));
       add
         (Printf.sprintf "heat2d multicore=sim p=4 n=%d seed=%d" hn case_seed)
         (fun () ->
-          let r0, _ = Algorithms.Heat2d.solve_sim ~procs:4 ~tol:1e-6 hf in
-          let r1, _ = Algorithms.Heat2d.solve_multicore ~procs:4 ~tol:1e-6 hf in
+          let r0, _ = Algorithms.Heat2d.solve (Spmd.sim ()) ~procs:4 ~tol:1e-6 hf in
+          let r1, _ = Algorithms.Heat2d.solve (Spmd.multicore ()) ~procs:4 ~tol:1e-6 hf in
           diverged "heat2d"
             (r0.Algorithms.Heat2d.iterations, Array.concat (Array.to_list r0.Algorithms.Heat2d.solution))
             (r1.Algorithms.Heat2d.iterations, Array.concat (Array.to_list r1.Algorithms.Heat2d.solution)));

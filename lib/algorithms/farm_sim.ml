@@ -28,7 +28,7 @@ let static ?(cost = Cost_model.ap1000) ~procs (spec : 'r job_spec) : 'r array * 
   Scl_sim.Spmd.run (Scl_sim.Spmd.sim ~cost ()) ~procs (fun comm ->
       let me = Comm.rank comm in
       let p = Comm.size comm in
-      let bounds = Scl_sim.Dvec.block_bounds ~total:spec.njobs ~parts:p in
+      let bounds = Scl.Partition.block_bounds ~n:spec.njobs ~p in
       let mine =
         Array.init (bounds.(me + 1) - bounds.(me)) (fun k ->
             let i = bounds.(me) + k in

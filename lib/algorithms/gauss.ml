@@ -30,7 +30,7 @@ let solve_scl ?(exec = Exec.sequential) ?(parts = 4) (a : float array array) (b 
     (* Global column i lives in part [owner] at local offset [local_ix]
        (block pattern: offset = i - block start). *)
     let owner i = Partition.assign pat ~n:(n + 1) i in
-    let bounds = Scl_sim.Dvec.block_bounds ~total:(n + 1) ~parts:parts in
+    let bounds = Scl.Partition.block_bounds ~n:(n + 1) ~p:parts in
     let local_ix i = i - bounds.(owner i) in
     let elim_pivot i x =
       (* applybrdcast (PARTIALPIVOT i): the owning processor computes the
@@ -56,7 +56,7 @@ let gauss_program (cols : float array array option) (comm : Comm.t) : float arra
   let n_plus_1 = Comm.bcast comm ~root:0 (Option.map Array.length cols) in
   let n = n_plus_1 - 1 in
   (* Block-distribute the n+1 columns. *)
-  let bounds = Scl_sim.Dvec.block_bounds ~total:n_plus_1 ~parts:p in
+  let bounds = Scl.Partition.block_bounds ~n:n_plus_1 ~p in
   let me = Comm.rank comm in
   let chunks =
     Option.map

@@ -72,7 +72,7 @@ let histogram_program ~buckets ~lo ~hi (xs : float array option) (comm : Comm.t)
   let outgoing = Array.make p [] in
   Hashtbl.iter (fun b c -> outgoing.(owner b) <- (b, c) :: outgoing.(owner b)) partial;
   let incoming = Comm.alltoall comm (Array.map Array.of_list outgoing) in
-  let bounds = Scl_sim.Dvec.block_bounds ~total:buckets ~parts:p in
+  let bounds = Scl.Partition.block_bounds ~n:buckets ~p in
   let me = Comm.rank comm in
   let mine = Array.make (bounds.(me + 1) - bounds.(me)) 0 in
   Array.iter

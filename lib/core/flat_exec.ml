@@ -1,21 +1,31 @@
 (* Flat-tier host execution: the unboxed counterpart of [Exec] over
-   [Flat.float1] payloads.
+   [float array] payloads.
 
    The boxed backends box every float element-wise — each [op] application
    allocates its result and every array slot is a pointer.  Here the
-   payload is a C-layout Bigarray and the operator is a first-order
-   description ([fun1]/[fun2]): a loop matches the operator ONCE and then
-   runs a monomorphic [unsafe_get]/[unsafe_set] body.  A fused map run is
-   a [Chain] of such descriptions, not a closure.  Every kernel maps one
-   cache block of [block] floats at a time with the stage loops (first
-   stage source -> destination, later stages in place) and then reduces
-   or scans that block in a [fun2]-specialised loop whose accumulator is
-   an unboxed local [float ref].  So known primitives and chains of them
-   run with no per-element closure call and no per-element allocation —
-   a few words per block, pinned by the test suite's minor-word budget.
-   The escape hatches [Fun1]/[Fun2] accept arbitrary OCaml closures and
-   pay the usual boxed calling convention — only unknown operators cost
-   what the boxed tier costs everywhere.
+   payload is a plain [float array], which OCaml stores unboxed (8 bytes
+   per element, no pointers for the GC to scan), and the operator is a
+   first-order description ([fun1]/[fun2]): a loop matches the operator
+   ONCE and then runs a monomorphic [unsafe_get]/[unsafe_set] body.  Every
+   loop sees a statically typed [float array] (the parameters are
+   annotated), so the compiler emits direct float loads and stores; on an
+   array of unknown type it would fall back to the polymorphic accessors,
+   which test for a float array at run time and box every element read.
+   A fused map run is a [Chain] of such descriptions, not a closure.
+   Every kernel maps one cache block of [block] floats at a time with the
+   stage loops (first stage source -> destination, later stages in place)
+   and then reduces or scans that block in a [fun2]-specialised loop whose
+   accumulator is an unboxed local [float ref].  So known primitives and
+   chains of them run with no per-element closure call and no per-element
+   allocation — a few words per block, pinned by the test suite's
+   minor-word budget.  The escape hatches [Fun1]/[Fun2] accept arbitrary
+   OCaml closures and pay the usual boxed calling convention — only
+   unknown operators cost what the boxed tier costs everywhere.
+
+   [float array] is also what the SPMD programs exchange, so the host tier
+   has no float container of its own: a dedicated off-heap one measured
+   no faster on the [pipeline] benchmark (README, "Numeric workloads and
+   the flat host tier").
 
    The pool scan is a Blelloch-style two-phase layout (the work-efficient
    discipline of the classic GPU scan): phase 1 maps each chunk into the
@@ -37,8 +47,6 @@
    pin this module.  Blocks change nothing here: the accumulator runs
    across block boundaries, and a [Chain] applies its stages to each
    element in order, storing exact float64 intermediates. *)
-
-module A = Bigarray.Array1
 
 type fun1 =
   | Id
@@ -84,11 +92,11 @@ let fun2_name = function
 
 type t = {
   name : string;
-  fmap : fun1 -> Flat.float1 -> Flat.float1;
-  ffold : fun2 -> Flat.float1 -> float;  (* combine in index order; non-empty *)
-  fscan : fun2 -> Flat.float1 -> Flat.float1;  (* inclusive prefix *)
-  fmap_fold : fun1 -> fun2 -> Flat.float1 -> float;  (* ffold op (fmap f a), one pass *)
-  fmap_scan : fun1 -> fun2 -> Flat.float1 -> Flat.float1;  (* fscan op (fmap f a), one pass *)
+  fmap : fun1 -> float array -> float array;
+  ffold : fun2 -> float array -> float;  (* combine in index order; non-empty *)
+  fscan : fun2 -> float array -> float array;  (* inclusive prefix *)
+  fmap_fold : fun1 -> fun2 -> float array -> float;  (* ffold op (fmap f a), one pass *)
+  fmap_scan : fun1 -> fun2 -> float array -> float array;  (* fscan op (fmap f a), one pass *)
 }
 
 (* --- monomorphic range kernels -------------------------------------------
@@ -106,24 +114,24 @@ let block = 2048
 
 (* One map over [len] elements: [dst.(dpos + i) <- op src.(spos + i)].  A
    [Chain] runs its first stage src -> dst and the rest in place in dst. *)
-let rec map_stage op ~(src : Flat.float1) ~spos ~(dst : Flat.float1) ~dpos ~len =
+let rec map_stage op ~(src : float array) ~spos ~(dst : float array) ~dpos ~len =
   let d = dpos - spos in
   match op with
   | Id ->
       if src != dst || d <> 0 then
-        for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (A.unsafe_get src i) done
-  | Neg -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (-.(A.unsafe_get src i)) done
-  | Scale c -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (A.unsafe_get src i *. c) done
-  | Offset c -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (A.unsafe_get src i +. c) done
+        for i = spos to spos + len - 1 do Array.unsafe_set dst (i + d) (Array.unsafe_get src i) done
+  | Neg -> for i = spos to spos + len - 1 do Array.unsafe_set dst (i + d) (-.(Array.unsafe_get src i)) done
+  | Scale c -> for i = spos to spos + len - 1 do Array.unsafe_set dst (i + d) (Array.unsafe_get src i *. c) done
+  | Offset c -> for i = spos to spos + len - 1 do Array.unsafe_set dst (i + d) (Array.unsafe_get src i +. c) done
   | Chain [] -> map_stage Id ~src ~spos ~dst ~dpos ~len
   | Chain (first :: rest) ->
       map_stage first ~src ~spos ~dst ~dpos ~len;
       List.iter (fun op -> map_stage op ~src:dst ~spos:dpos ~dst ~dpos ~len) rest
-  | Fun1 f -> for i = spos to spos + len - 1 do A.unsafe_set dst (i + d) (f (A.unsafe_get src i)) done
+  | Fun1 f -> for i = spos to spos + len - 1 do Array.unsafe_set dst (i + d) (f (Array.unsafe_get src i)) done
 
 (* Map [lo, hi) of [src] into the same positions of [dst], block by block
    so a [Chain]'s in-place stages stay in cache. *)
-let map_range op ~src ~dst ~lo ~hi =
+let map_range op ~(src : float array) ~(dst : float array) ~lo ~hi =
   let pos = ref lo in
   while !pos < hi do
     let len = min block (hi - !pos) in
@@ -132,45 +140,45 @@ let map_range op ~src ~dst ~lo ~hi =
   done
 
 (* Fold [a.(lo) .. a.(hi - 1)] onto [init], left to right. *)
-let reduce_range op (a : Flat.float1) ~lo ~hi init =
+let reduce_range op (a : float array) ~lo ~hi init =
   let acc = ref init in
   (match op with
-  | Add -> for i = lo to hi - 1 do acc := !acc +. A.unsafe_get a i done
-  | Mul -> for i = lo to hi - 1 do acc := !acc *. A.unsafe_get a i done
-  | Max -> for i = lo to hi - 1 do acc := Float.max !acc (A.unsafe_get a i) done
-  | Min -> for i = lo to hi - 1 do acc := Float.min !acc (A.unsafe_get a i) done
-  | Fun2 f -> for i = lo to hi - 1 do acc := f !acc (A.unsafe_get a i) done);
+  | Add -> for i = lo to hi - 1 do acc := !acc +. Array.unsafe_get a i done
+  | Mul -> for i = lo to hi - 1 do acc := !acc *. Array.unsafe_get a i done
+  | Max -> for i = lo to hi - 1 do acc := Float.max !acc (Array.unsafe_get a i) done
+  | Min -> for i = lo to hi - 1 do acc := Float.min !acc (Array.unsafe_get a i) done
+  | Fun2 f -> for i = lo to hi - 1 do acc := f !acc (Array.unsafe_get a i) done);
   !acc
 
 (* Inclusive scan of [d.(lo) .. d.(hi - 1)] in place, continuing from
    [init] (folded left of [d.(lo)]); returns the last prefix. *)
-let scan_range op (d : Flat.float1) ~lo ~hi init =
+let scan_range op (d : float array) ~lo ~hi init =
   let acc = ref init in
   (match op with
   | Add ->
       for i = lo to hi - 1 do
-        acc := !acc +. A.unsafe_get d i;
-        A.unsafe_set d i !acc
+        acc := !acc +. Array.unsafe_get d i;
+        Array.unsafe_set d i !acc
       done
   | Mul ->
       for i = lo to hi - 1 do
-        acc := !acc *. A.unsafe_get d i;
-        A.unsafe_set d i !acc
+        acc := !acc *. Array.unsafe_get d i;
+        Array.unsafe_set d i !acc
       done
   | Max ->
       for i = lo to hi - 1 do
-        acc := Float.max !acc (A.unsafe_get d i);
-        A.unsafe_set d i !acc
+        acc := Float.max !acc (Array.unsafe_get d i);
+        Array.unsafe_set d i !acc
       done
   | Min ->
       for i = lo to hi - 1 do
-        acc := Float.min !acc (A.unsafe_get d i);
-        A.unsafe_set d i !acc
+        acc := Float.min !acc (Array.unsafe_get d i);
+        Array.unsafe_set d i !acc
       done
   | Fun2 f ->
       for i = lo to hi - 1 do
-        acc := f !acc (A.unsafe_get d i);
-        A.unsafe_set d i !acc
+        acc := f !acc (Array.unsafe_get d i);
+        Array.unsafe_set d i !acc
       done);
   !acc
 
@@ -179,16 +187,16 @@ let scan_range op (d : Flat.float1) ~lo ~hi init =
    its accumulator carried from block to block; [lo < hi].  Blocks land in
    the same positions of [into] when given, else in one block-sized
    scratch buffer.  Returns the final accumulator. *)
-let staged kernel ?into f op ~(src : Flat.float1) ~lo ~hi =
+let staged kernel ?into f op ~(src : float array) ~lo ~hi =
   let scratch = Option.is_none into in
-  let dst = match into with Some d -> d | None -> Flat.create Flat.float64 (min block (hi - lo)) in
+  let dst = match into with Some d -> d | None -> Array.create_float (min block (hi - lo)) in
   let acc = ref 0.0 and pos = ref lo in
   while !pos < hi do
     let len = min block (hi - !pos) in
     let dpos = if scratch then 0 else !pos in
     map_stage f ~src ~spos:!pos ~dst ~dpos ~len;
     (acc :=
-       if !pos = lo then kernel op dst ~lo:(dpos + 1) ~hi:(dpos + len) (A.unsafe_get dst dpos)
+       if !pos = lo then kernel op dst ~lo:(dpos + 1) ~hi:(dpos + len) (Array.unsafe_get dst dpos)
        else kernel op dst ~lo:dpos ~hi:(dpos + len) !acc);
     pos := !pos + len
   done;
@@ -196,14 +204,14 @@ let staged kernel ?into f op ~(src : Flat.float1) ~lo ~hi =
 
 (* Reduce [f src.(lo)] .. [f src.(hi - 1)]; [lo < hi].  [Id] reads the
    source directly. *)
-let map_reduce_range f op ~(src : Flat.float1) ~lo ~hi =
+let map_reduce_range f op ~(src : float array) ~lo ~hi =
   match f with
-  | Id -> reduce_range op src ~lo:(lo + 1) ~hi (A.unsafe_get src lo)
+  | Id -> reduce_range op src ~lo:(lo + 1) ~hi (Array.unsafe_get src lo)
   | _ -> staged reduce_range f op ~src ~lo ~hi
 
 (* Inclusive scan of [f src.(lo)] .. [f src.(hi - 1)] into the same
    positions of [dst]; [lo < hi]. *)
-let map_scan_range f op ~src ~dst ~lo ~hi =
+let map_scan_range f op ~(src : float array) ~(dst : float array) ~lo ~hi =
   ignore (staged scan_range ~into:dst f op ~src ~lo ~hi : float)
 
 (* --- observability (same discipline as Exec.instrument) ------------------ *)
@@ -243,19 +251,19 @@ let instrument e =
 (* --- sequential backend (the defining semantics) ------------------------- *)
 
 let seq_map_fold f op a =
-  let n = Flat.length a in
+  let n = Array.length a in
   if n = 0 then invalid_arg "Flat_exec.ffold: empty array";
   map_reduce_range f op ~src:a ~lo:0 ~hi:n
 
 let seq_map_scan f op a =
-  let n = Flat.length a in
-  let out = Flat.create Flat.float64 n in
+  let n = Array.length a in
+  let out = Array.create_float n in
   if n > 0 then map_scan_range f op ~src:a ~dst:out ~lo:0 ~hi:n;
   out
 
 let seq_map f a =
-  let n = Flat.length a in
-  let out = Flat.create Flat.float64 n in
+  let n = Array.length a in
+  let out = Array.create_float n in
   map_range f ~src:a ~dst:out ~lo:0 ~hi:n;
   out
 
@@ -282,8 +290,8 @@ let on_pool pool =
     Exec.chunk_bounds n ((n + grain - 1) / grain)
   in
   let fmap op a =
-    let n = Flat.length a in
-    let out = Flat.create Flat.float64 n in
+    let n = Array.length a in
+    let out = Array.create_float n in
     if n > 0 then begin
       let bounds = bounds_for n in
       Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:(Array.length bounds - 1) (fun k ->
@@ -294,7 +302,7 @@ let on_pool pool =
   (* Two-phase reduce: unboxed per-chunk partials, combined in chunk order
      (non-commutative [Fun2]s stay safe). *)
   let fmap_fold f op a =
-    let n = Flat.length a in
+    let n = Array.length a in
     if n = 0 then invalid_arg "Flat_exec.ffold: empty array";
     let bounds = bounds_for n in
     let nchunks = Array.length bounds - 1 in
@@ -320,8 +328,8 @@ let on_pool pool =
      [Exec.chunk_bounds] never produces an empty chunk, so every chunk has
      a first element. *)
   let fmap_scan f op a =
-    let n = Flat.length a in
-    let out = Flat.create Flat.float64 n in
+    let n = Array.length a in
+    let out = Array.create_float n in
     if n > 0 then begin
       let bounds = bounds_for n in
       let nchunks = Array.length bounds - 1 in
@@ -345,7 +353,7 @@ let on_pool pool =
            folded in. *)
         Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:nchunks (fun k ->
             let lo = bounds.(k) and hi = bounds.(k + 1) in
-            if k = 0 then ignore (scan_range op out ~lo:(lo + 1) ~hi (A.unsafe_get out lo) : float)
+            if k = 0 then ignore (scan_range op out ~lo:(lo + 1) ~hi (Array.unsafe_get out lo) : float)
             else ignore (scan_range op out ~lo ~hi (Array.unsafe_get partials k) : float))
       end
     end;

@@ -1,10 +1,11 @@
 (** Flat-tier host execution backends: unboxed map/fold/scan (plus the
-    fused forms) over {!Flat.float1} payloads.
+    fused forms) over [float array] payloads, which OCaml stores unboxed.
 
     The operator is a first-order description rather than a bare closure,
     and a fused map run is a {!Chain} of descriptions. Each kernel maps
     one cache block (2048 floats) at a time with monomorphic
-    [Bigarray.Array1.unsafe_get]/[unsafe_set] stage loops — a chain's
+    [Array.unsafe_get]/[unsafe_set] stage loops on statically typed
+    [float array]s — a chain's
     first stage writes the block, later stages rewrite it in place — and
     then reduces or scans the block in a loop specialised to the
     {!fun2}, with an unboxed accumulator. Known primitives and chains of
@@ -52,15 +53,17 @@ val apply2 : fun2 -> float -> float -> float
 val fun1_name : fun1 -> string
 val fun2_name : fun2 -> string
 
+(** A backend. No kernel writes to its input, and every array it returns
+    is freshly allocated — [fmap Id a] is a copy of [a], never [a]. *)
 type t = {
   name : string;
-  fmap : fun1 -> Flat.float1 -> Flat.float1;
-  ffold : fun2 -> Flat.float1 -> float;
+  fmap : fun1 -> float array -> float array;
+  ffold : fun2 -> float array -> float;
       (** combine in index order. @raise Invalid_argument on empty input *)
-  fscan : fun2 -> Flat.float1 -> Flat.float1;  (** inclusive prefix *)
-  fmap_fold : fun1 -> fun2 -> Flat.float1 -> float;
+  fscan : fun2 -> float array -> float array;  (** inclusive prefix *)
+  fmap_fold : fun1 -> fun2 -> float array -> float;
       (** [ffold op (fmap f a)] in one pass, no intermediate array *)
-  fmap_scan : fun1 -> fun2 -> Flat.float1 -> Flat.float1;
+  fmap_scan : fun1 -> fun2 -> float array -> float array;
       (** [fscan op (fmap f a)] in one pass, no intermediate array *)
 }
 
@@ -68,5 +71,5 @@ val sequential : t
 (** The defining semantics: one left-to-right pass per kernel. *)
 
 val on_pool : Runtime.Pool.t -> t
-(** Work-stealing pool backend: sub-view chunking, bytes-aware grain,
+(** Work-stealing pool backend: index-range chunking, bytes-aware grain,
     two-phase reduce and Blelloch two-phase scan. *)

@@ -23,13 +23,9 @@ val part_sizes : t -> n:int -> int array
 
 val block_bounds : n:int -> p:int -> int array
 (** Balanced-block boundaries: part [k] of a [Block p] pattern owns source
-    range [\[b.(k), b.(k+1))]. Exposed because every block-distributed
-    layer (the flat tier, [scl_sim]'s Dvec, the segmented executor) must
-    agree on this geometry. *)
-
-val cyclic_size : n:int -> p:int -> int -> int
-(** Elements owned by part [k] under [Cyclic p]: [k, k+p, k+2p, …] below
-    [n]. *)
+    range [\[b.(k), b.(k+1))]. The one definition of this geometry:
+    [scl_sim]'s Dvec, the transform interpreters and executors, and the
+    block-distributed algorithms all call it, so their layouts agree. *)
 
 val apply : t -> 'a array -> 'a array Par_array.t
 (** The paper's [partition]. Parts may be empty when [n < parts].

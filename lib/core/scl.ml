@@ -14,22 +14,14 @@
       iterUntil, iterFor.
 
     Every skeleton takes an optional {!Exec.t} backend: {!Exec.sequential}
-    (the defining semantics) or {!Exec.on_pool} (multicore). The simulated
+    (the defining semantics) or {!Exec.on_pool} (multicore). {!Flat_exec}
+    runs the float map/fold/scan kernels unboxed on [float array]. The simulated
     distributed-memory implementations live in the separate [scl_sim]
     library. *)
 
 module Exec = Exec
 
-module Par_array = struct
-  include Par_array
-
-  (* The unboxed numeric tier rides along here ([Par_array.Flat]); it is
-     grafted in at this aggregation point because [Flat] needs [Partition]
-     (which itself builds on the boxed [Par_array]). *)
-  module Flat = Flat
-end
-
-module Flat = Flat
+module Par_array = Par_array
 module Flat_exec = Flat_exec
 module Par_array2 = Par_array2
 module Partition = Partition

@@ -328,7 +328,8 @@ let grain_for t n =
     max (min min_grain n) balanced
   end
 
-(* Bytes-aware variant for unboxed (Bigarray-backed) loops.  [grain_for]'s
+(* Bytes-aware variant for unboxed loops over [float array]s (the flat
+   host kernels, [Scl.Flat_exec]).  [grain_for]'s
    32-element floor is tuned for boxed elements, where each application
    chases a pointer and the body dwarfs the scheduling overhead; an
    unboxed 8-byte float body is a handful of instructions, so the floor is

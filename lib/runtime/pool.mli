@@ -83,7 +83,7 @@ val grain_for_bytes : t -> elem_bytes:int -> int -> int
     a 32-element task would be mostly scheduling overhead. The
     load-balance term is identical to {!grain_for}, so large arrays chunk
     the same on both heuristics. Used by the flat ([Scl.Flat_exec])
-    kernels. *)
+    kernels over unboxed [float array]s. *)
 
 val parallel_for : ?grain:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** Evaluate [body i] for [lo <= i < hi] in parallel by recursive halving;

@@ -26,11 +26,6 @@ let offset t = t.offset
 
 let block_pattern p = Scl.Partition.Block p
 
-(* Block geometry: element range owned by each rank. *)
-let block_bounds ~total ~parts =
-  let q = total / parts and r = total mod parts in
-  Array.init (parts + 1) (fun k -> (k * q) + min k r)
-
 let owner_of ~total ~parts g =
   Scl.Partition.assign (block_pattern parts) ~n:total g
 
@@ -58,13 +53,13 @@ let scatter comm ~root (a : 'a array option) : 'a t =
   let chunks =
     match a with
     | Some arr ->
-        let b = block_bounds ~total:(Array.length arr) ~parts:p in
+        let b = Scl.Partition.block_bounds ~n:(Array.length arr) ~p in
         Some (Array.init p (fun k -> Array.sub arr b.(k) (b.(k + 1) - b.(k))))
     | None -> None
   in
   let total = Comm.bcast comm ~root (Option.map Array.length a) in
   let local = Comm.scatter comm ~root chunks in
-  let b = block_bounds ~total ~parts:p in
+  let b = Scl.Partition.block_bounds ~n:total ~p in
   { comm; local; offset = b.(Comm.rank comm); total }
 
 (* Collect back to the root (the paper's gather). *)

@@ -18,7 +18,6 @@ val total : 'a t -> int
 val offset : 'a t -> int
 (** Global index of the first local element. *)
 
-val block_bounds : total:int -> parts:int -> int array
 val owner_of : total:int -> parts:int -> int -> int
 
 val of_local : Comm.t -> 'a array -> 'a t

@@ -67,10 +67,6 @@ let rec size = function
 
 (* --- interpreter ----------------------------------------------------------- *)
 
-let block_bounds ~total ~parts =
-  let q = total / parts and r = total mod parts in
-  Array.init (parts + 1) (fun k -> (k * q) + min k r)
-
 let rec eval (e : expr) (v : Value.t) : Value.t =
   match e with
   | Id -> v
@@ -136,7 +132,7 @@ let rec eval (e : expr) (v : Value.t) : Value.t =
   | Split p ->
       if p <= 0 then Value.type_error "split: non-positive part count";
       let a = Value.as_arr v in
-      let b = block_bounds ~total:(Array.length a) ~parts:p in
+      let b = Scl.Partition.block_bounds ~n:(Array.length a) ~p in
       Value.Arr (Array.init p (fun k -> Value.Arr (Array.sub a b.(k) (b.(k + 1) - b.(k)))))
   | Combine ->
       let groups = Value.as_arr v in

@@ -15,7 +15,9 @@ type expr =
   | Send of Fn.ifn  (** permutation send *)
   | Fetch of Fn.ifn
   | Rotate of int
-  | Split of int  (** block-split into p groups *)
+  | Split of int
+      (** block-split into p groups, on {!Scl.Partition.block_bounds}
+          (the executors' segment descriptors share it) *)
   | Combine  (** flatten a nested ParArray *)
   | Map_nested of expr  (** apply a program inside each group *)
   | Iter_for of int * expr
@@ -32,11 +34,6 @@ val of_chain : expr list -> expr
     [eval (of_chain (to_chain e)) = eval e]. *)
 
 val size : expr -> int
-
-val block_bounds : total:int -> parts:int -> int array
-(** Block geometry used by [split p]: [parts + 1] prefix bounds, group [k]
-    spanning [bounds.(k) .. bounds.(k+1) - 1]. Shared by the executors so
-    their segment descriptors agree with the reference interpreter. *)
 
 val eval : expr -> Value.t -> Value.t
 (** Reference interpreter.

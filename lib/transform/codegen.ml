@@ -268,14 +268,18 @@ let generate_host ?(name = "run_pipeline") (e : Ast.expr) : string =
     header name result_type body final
 
 (* Flat host target: map/fold/scan chains of float registry primitives
-   compiled to the unboxed [Scl.Flat_exec] kernels.  The payload functions
-   must be [Flat_fns]-recognised (the flat kernels match the operator
-   outside the loop, so only the closed operator vocabulary compiles); the
-   last map of a run fuses into a following fold/scan (one data pass, no
-   intermediate array).  The emitted function takes the flat backend as a
-   value, so the same generated source runs sequentially or on the pool. *)
+   compiled to the unboxed [Scl.Flat_exec] kernels, which run on the
+   caller's [float array] directly.  The payload functions must be
+   [Flat_fns]-recognised (the flat kernels match the operator outside the
+   loop, so only the closed operator vocabulary compiles).  A run of maps
+   fuses into one first-order [Scl.Flat_exec.Chain], as [Host_exec]'s
+   flat fast path builds it, and the run fuses into a following fold/scan
+   (one data pass, no intermediate array).  Kernels never write to their
+   input and always return a fresh array, so the generated function
+   leaves [input] untouched and never returns it.  The emitted function
+   takes the flat backend as a value, so the same generated source runs
+   sequentially or on the pool. *)
 let generate_host_flat ?(name = "run_pipeline") (e : Ast.expr) : string =
-  let chain = Ast.to_chain e in
   let buf = Buffer.create 1024 in
   let next = ref 1 in
   let fresh () =
@@ -286,7 +290,7 @@ let generate_host_flat ?(name = "run_pipeline") (e : Ast.expr) : string =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf ("  " ^ s ^ "\n")) fmt in
   let f1 (f : Fn.t) =
     match Flat_fns.fun1_source f with
-    | Some s -> "(" ^ s ^ ")"
+    | Some s -> s
     | None ->
         not_compilable "unary function %S has no flat operator form (flat target compiles %s)"
           f.Fn.name "the float registry primitives"
@@ -300,57 +304,56 @@ let generate_host_flat ?(name = "run_pipeline") (e : Ast.expr) : string =
     if rest <> [] then
       not_compilable "a fold may only appear as the last stage of a compiled pipeline"
   in
+  (* The maximal run of maps at the head of [stages], as one operator. *)
+  let rec map_run ops = function
+    | Ast.Map f :: rest -> map_run (f1 f :: ops) rest
+    | rest -> (List.rev ops, rest)
+  in
+  let fused = function
+    | [ op ] -> "(" ^ op ^ ")"
+    | ops -> "(Scl.Flat_exec.Chain [ " ^ String.concat "; " ops ^ " ])"
+  in
   let rec go stages v =
-    match stages with
-    | [] -> `Vec v
-    | Ast.Id :: rest -> go rest v
-    | Ast.Map f :: Ast.Fold op :: rest ->
+    match map_run [] stages with
+    | [], [] -> `Vec v
+    | ops, Ast.Fold op :: rest ->
         no_trailing rest;
         let s = fresh () in
-        line "let %s = fx.Scl.Flat_exec.fmap_fold %s %s %s in" s (f1 f) (f2 op) v;
+        if ops = [] then line "let %s = fx.Scl.Flat_exec.ffold %s %s in" s (f2 op) v
+        else line "let %s = fx.Scl.Flat_exec.fmap_fold %s %s %s in" s (fused ops) (f2 op) v;
         `Scalar s
-    | Ast.Map f :: Ast.Scan op :: rest ->
+    | ops, Ast.Scan op :: rest ->
         let v' = fresh () in
-        line "let %s = fx.Scl.Flat_exec.fmap_scan %s %s %s in" v' (f1 f) (f2 op) v;
+        if ops = [] then line "let %s = fx.Scl.Flat_exec.fscan %s %s in" v' (f2 op) v
+        else line "let %s = fx.Scl.Flat_exec.fmap_scan %s %s %s in" v' (fused ops) (f2 op) v;
         go rest v'
-    | Ast.Map f :: rest ->
-        let v' = fresh () in
-        line "let %s = fx.Scl.Flat_exec.fmap %s %s in" v' (f1 f) v;
-        go rest v'
-    | Ast.Fold op :: rest ->
-        no_trailing rest;
-        let s = fresh () in
-        line "let %s = fx.Scl.Flat_exec.ffold %s %s in" s (f2 op) v;
-        `Scalar s
-    | Ast.Scan op :: rest ->
-        let v' = fresh () in
-        line "let %s = fx.Scl.Flat_exec.fscan %s %s in" v' (f2 op) v;
-        go rest v'
-    | st :: _ ->
+    | [], st :: _ ->
         not_compilable
           "stage %S has no flat-tier form (the flat target compiles map/fold/scan chains)"
           (Ast.to_string st)
+    | ops, rest ->
+        let v' = fresh () in
+        line "let %s = fx.Scl.Flat_exec.fmap %s %s in" v' (fused ops) v;
+        go rest v'
   in
-  let result = go chain "dv0" in
+  (* the empty pipeline is [map id], so it too returns a fresh array *)
+  let stages = match Ast.to_chain e with [] -> [ Ast.Map Fn.id ] | chain -> chain in
+  let result = go stages "input" in
   let body = Buffer.contents buf in
   let header =
     Printf.sprintf
       "(* Generated by Transform.Codegen (flat host target) from:\n\n\
       \     %s\n\n\
-      \   Unboxed Scl.Flat_exec kernels; pass ~fx:(Scl.Flat_exec.on_pool pool)\n\
-      \   to run the same code multicore. Do not edit by hand: the test suite\n\
-      \   regenerates this file and asserts it is unchanged. *)\n\n"
+      \   Unboxed Scl.Flat_exec kernels on float array; pass\n\
+      \   ~fx:(Scl.Flat_exec.on_pool pool) to run the same code multicore. Do not\n\
+      \   edit by hand: the test suite regenerates this file and asserts it is\n\
+      \   unchanged. *)\n\n"
       (Ast.to_string e)
   in
   let result_type, final =
-    match result with
-    | `Vec v -> ("float array", Printf.sprintf "Scl.Flat.to_float_array %s" v)
-    | `Scalar s -> ("float", s)
+    match result with `Vec v -> ("float array", v) | `Scalar s -> ("float", s)
   in
-  Printf.sprintf
-    "%slet %s ?(fx = Scl.Flat_exec.sequential) (input : float array) : %s =\n\
-    \  let dv0 = Scl.Flat.of_float_array input in\n\
-     %s  %s\n"
+  Printf.sprintf "%slet %s ?(fx = Scl.Flat_exec.sequential) (input : float array) : %s =\n%s  %s\n"
     header name result_type body final
 
 let compilable (e : Ast.expr) : bool =

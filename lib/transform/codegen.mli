@@ -28,11 +28,14 @@ val generate_host : ?name:string -> Ast.expr -> string
 
 val generate_host_flat : ?name:string -> Ast.expr -> string
 (** Map/fold/scan chains of {!Flat_fns}-recognised float primitives
-    compiled to the unboxed {!Scl.Flat_exec} kernels; the last map of a
-    run fuses into a following fold/scan. The emitted function is
+    compiled to the unboxed {!Scl.Flat_exec} kernels, which run on the
+    input [float array] directly (no conversion copy). A run of maps
+    becomes one {!Scl.Flat_exec.Chain}, fused into a following
+    fold/scan. The emitted function is
     [val name : ?fx:Scl.Flat_exec.t -> float array -> float array] (or
     [float] for a trailing fold), so one generated source runs
-    sequentially or on the pool. @raise Not_compilable for stages or
+    sequentially or on the pool; it never writes to its input, and an
+    array result is always fresh. @raise Not_compilable for stages or
     functions outside the flat vocabulary. *)
 
 val compilable : Ast.expr -> bool

@@ -20,13 +20,14 @@ let word_bytes = 8
 
 type env = { cm : Cost_model.t; procs : int; flat : bool }
 
-(* Per-element discount for stages the flat host tier can run: unboxed
-   Bigarray loops with the operator matched outside the loop, versus the
-   boxed skeletons' closure call + Value boxing per element.  Applied
-   only to the flop term — barriers and combine-round messages are tier-
-   independent.  Calibrated against the host/{boxed,flat}-scan bench
-   pair; like the rest of the model it ranks plans, the simulator stays
-   the ground truth. *)
+(* Per-element discount for stages the flat host tier can run: loops over
+   unboxed [float array]s with the operator matched outside the loop (a
+   fused map run staged as one [Chain]), versus the boxed skeletons'
+   closure call + Value boxing per element.  Applied only to the flop
+   term — barriers and combine-round messages are tier-independent.
+   Calibrated against the host/{boxed,flat}-scan bench pair; like the
+   rest of the model it ranks plans, the simulator stays the ground
+   truth. *)
 let flat_factor = 0.25
 
 let ceil_div a b = (a + b - 1) / b

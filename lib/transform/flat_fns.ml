@@ -1,6 +1,6 @@
 (* Recognition of registry functions as flat-tier operators.
 
-   The flat host kernels ([Scl.Flat_exec]) work on unboxed float storage
+   The flat host kernels ([Scl.Flat_exec]) work on unboxed [float array]s
    with the operator matched OUTSIDE the loop, so they can only run
    payload functions drawn from a closed operator vocabulary.  This
    module is the single mapping from [Fn] registry names to that
@@ -11,9 +11,10 @@
    so fused closures (e.g. "fincr.fdouble") are deliberately not
    recognised: they would force a closure call per element, exactly the
    cost the flat tier exists to avoid.  A run of recognised maps is
-   fused by the host evaluator instead, as a first-order
-   [Scl.Flat_exec.Chain] of the recognised stages, which the kernels run
-   stage by stage over cache blocks with no closure call at all. *)
+   fused by the host evaluator and the code generator instead, as a
+   first-order [Scl.Flat_exec.Chain] of the recognised stages, which the
+   kernels run stage by stage over cache blocks with no closure call at
+   all. *)
 
 let fun1_of (f : Fn.t) : Scl.Flat_exec.fun1 option =
   match f.Fn.name with

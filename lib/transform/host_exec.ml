@@ -41,7 +41,8 @@ let compose_run fns x = List.fold_left (fun v (f : Fn.t) -> f.Fn.apply v) x fns
    When a maximal map run (and its fold/scan consumer, if any) consists
    entirely of [Flat_fns]-recognised float primitives AND the value is an
    all-float array, the run dispatches to the unboxed [Scl.Flat_exec]
-   kernels: one conversion to flat storage, the fused kernel, one
+   kernels: one conversion to a [float array] (the representation the
+   SPMD programs use too; OCaml stores it unboxed), the fused kernel, one
    conversion back.  A multi-map run fuses to a first-order
    [Flat_exec.Chain] of its stages, which the kernels apply stage by stage
    over cache-sized blocks with monomorphic loops.  Bitwise-identical to
@@ -68,28 +69,28 @@ let fuse_ops = function
   | [ op ] -> op
   | ops -> Scl.Flat_exec.Chain ops
 
-(* One pass over the array straight into float64 storage; [None] at the
+(* One pass over the array straight into a [float array]; [None] at the
    first element that is not a [Float] (before allocating, when that is
    the first element). *)
 let flat_of_value v =
   match v with
   | Value.Arr a when Array.length a = 0 || (match a.(0) with Value.Float _ -> true | _ -> false) ->
       let n = Array.length a in
-      let fa = Scl.Flat.create Scl.Flat.float64 n in
+      let fa = Array.create_float n in
       let rec fill i =
         if i = n then Some fa
         else
           match Array.unsafe_get a i with
           | Value.Float x ->
-              Bigarray.Array1.unsafe_set fa i x;
+              Array.unsafe_set fa i x;
               fill (i + 1)
           | Value.Int _ | Value.Pair _ | Value.Arr _ -> None
       in
       fill 0
   | _ -> None
 
-let value_of_flat (fa : Scl.Flat.float1) =
-  Value.Arr (Array.init (Scl.Flat.length fa) (fun i -> Value.Float (Bigarray.Array1.unsafe_get fa i)))
+let value_of_flat (fa : float array) =
+  Value.Arr (Array.init (Array.length fa) (fun i -> Value.Float (Array.unsafe_get fa i)))
 
 (* Try to run [map fns . consumer] (consumer = head of [tl]) on the flat
    tier; [Some (result, remaining_chain)] on success. Empty-array edge
@@ -105,10 +106,10 @@ let flat_dispatch ~(fx : Scl.Flat_exec.t) fns tl v :
       | Some fa -> (
           let op1 = fuse_ops ops in
           match tl with
-          | Ast.Fold op :: tl' when Flat_fns.fun2_of op <> None && Scl.Flat.length fa > 0 ->
+          | Ast.Fold op :: tl' when Flat_fns.fun2_of op <> None && Array.length fa > 0 ->
               let op2 = Option.get (Flat_fns.fun2_of op) in
               Some (Value.Float (fx.Scl.Flat_exec.fmap_fold op1 op2 fa), tl')
-          | Ast.Scan op :: tl' when Flat_fns.fun2_of op <> None && Scl.Flat.length fa > 0 ->
+          | Ast.Scan op :: tl' when Flat_fns.fun2_of op <> None && Array.length fa > 0 ->
               let op2 = Option.get (Flat_fns.fun2_of op) in
               Some (value_of_flat (fx.Scl.Flat_exec.fmap_scan op1 op2 fa), tl')
           | tl' ->
@@ -277,7 +278,7 @@ and eval_hchain ~exec ~fx (chain : Ast.expr list) (hv : hval) : hval =
   | Ast.Split p :: rest -> (
       match hv with
       | Plain (Value.Arr a) when p > 0 ->
-          let b = Ast.block_bounds ~total:(Array.length a) ~parts:p in
+          let b = Scl.Partition.block_bounds ~n:(Array.length a) ~p in
           let sizes = Array.init p (fun k -> b.(k + 1) - b.(k)) in
           eval_hchain ~exec ~fx rest (Seg (a, sizes))
       | _ -> fallback (Ast.Split p) rest hv)

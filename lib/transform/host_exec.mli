@@ -36,7 +36,7 @@ val eval :
     sequential; pass [Scl.Flat_exec.on_pool] to run flat legs on the
     pool). A multi-map run becomes one {!Scl.Flat_exec.Chain} of its
     stages, so the fused kernel allocates nothing per element. The value
-    is converted to flat storage in one pass that gives up at the first
+    is converted to a [float array] in one pass that gives up at the first
     non-[Float] element (the run then takes the boxed path), and back in
     one sequential pass: boxing on the pool measured about 3x slower,
     since minor collections stop every domain. The flat path is

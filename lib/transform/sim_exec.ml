@@ -158,7 +158,7 @@ and exec_prim (comm : Comm.t) (e : Ast.expr) (st : state) : state =
       match st with
       | V dv ->
           if p <= 0 then Value.type_error "split: non-positive part count";
-          let b = Ast.block_bounds ~total:(Scl_sim.Dvec.total dv) ~parts:p in
+          let b = Scl.Partition.block_bounds ~n:(Scl_sim.Dvec.total dv) ~p in
           let sizes = Array.init p (fun k -> b.(k + 1) - b.(k)) in
           Seg (dv, sizes)
       | S _ -> Value.type_error "pipeline applies an array skeleton to a scalar"
@@ -304,7 +304,7 @@ and seg_fold comm (f : Fn.t2) sizes starts dv : Value.t Scl_sim.Dvec.t =
   let results =
     Array.map (function Some v -> v | None -> Value.type_error "fold: empty array") acc
   in
-  let b = Scl_sim.Dvec.block_bounds ~total:s ~parts:(Comm.size comm) in
+  let b = Scl.Partition.block_bounds ~n:s ~p:(Comm.size comm) in
   let me = Comm.rank comm in
   Scl_sim.Dvec.of_local comm (Array.sub results b.(me) (b.(me + 1) - b.(me)))
 

@@ -293,6 +293,24 @@ let farm =
               let rec has i = i + n <= m && (String.sub msg i n = needle || has (i + 1)) in
               Alcotest.(check bool) (label b "all-lost reported") true (has 0));
     };
+    {
+      name = "survives a crash before the first request";
+      speed = `Quick;
+      check =
+        (fun b ->
+          (* rank 2 fail-stops on its 1st communication op, the request
+             for its first job: the master never hears from it and must
+             still finish every job on ranks 1 and 3.  Ops 1 and 2 are the
+             crash points every worker always reaches, which is what
+             diffcheck's farm-crash cases draw from. *)
+          let spec = Algorithms.Farm_sim.skewed_spec ~njobs:24 ~skew:6 in
+          let chaos = { Chaos.none with Chaos.crashes = [ (2, 1) ] } in
+          let got, stats = Algorithms.Farm_sim.dynamic ~grace:0.5 ~chaos b ~procs:4 spec in
+          Alcotest.(check (array int)) (label b "all jobs done exactly once") (expected 24) got;
+          match crashed b stats with
+          | Some c -> Alcotest.(check (list int)) (label b "the crash is recorded") [ 2 ] c
+          | None -> ());
+    };
   ]
 
 (* --- what one run hands back ------------------------------------------------ *)

@@ -1247,7 +1247,7 @@ let suite =
 let battery_whole = Array.init 17 (fun i -> float_of_int ((i * 3) + 1))
 
 let blocks m (a : float array) =
-  let b = Scl_sim.Dvec.block_bounds ~total:(Array.length a) ~parts:m in
+  let b = Scl.Partition.block_bounds ~n:(Array.length a) ~p:m in
   Array.init m (fun k -> Array.sub a b.(k) (b.(k + 1) - b.(k)))
 
 let float_collective_battery c =

@@ -84,6 +84,18 @@ let prop_partition_roundtrip =
         (fun pat -> Partition.unapply pat (Partition.apply pat a) = a)
         (patterns_for (Array.length a)))
 
+let prop_block_bounds =
+  qtest "block_bounds: balanced, covering, = part_sizes (Block p)"
+    QCheck.(pair (int_range 0 300) (int_range 1 17))
+    (fun (n, p) ->
+      let b = Partition.block_bounds ~n ~p in
+      let sizes = Array.init p (fun k -> b.(k + 1) - b.(k)) in
+      Array.length b = p + 1
+      && b.(0) = 0
+      && b.(p) = n
+      && sizes = Partition.part_sizes (Partition.Block p) ~n
+      && Array.for_all (fun s -> s = n / p || s = (n / p) + 1) sizes)
+
 let test_partition_block_sizes () =
   let sizes = Partition.part_sizes (Partition.Block 4) ~n:10 in
   Alcotest.(check (array int)) "balanced" [| 3; 3; 2; 2 |] sizes
@@ -772,104 +784,6 @@ let test_fused_empty =
       Alcotest.(check int) "map_scan empty = empty" 0
         (Par_array.length (Elementary.map_scan ~exec ( + ) Fun.id (Par_array.of_list []))))
 
-(* --- Flat (unboxed Bigarray tier) -------------------------------------------------
-   [Partition] on boxed arrays is the executable specification: for every
-   pattern, [Flat.apply]/[unapply] must produce the same decomposition
-   element-for-element, including the fast paths (Block views,
-   Cyclic/Block_cyclic strided copies) against the generic assign-driven
-   path. *)
-
-let flat_of_ints xs = Flat.of_array Flat.int (Array.of_list xs)
-
-let prop_flat_apply_matches_partition =
-  qtest "Flat.apply = Partition.apply elementwise (int)"
-    QCheck.(list small_int)
-    (fun xs ->
-      let a = Array.of_list xs in
-      let fa = flat_of_ints xs in
-      List.for_all
-        (fun pat ->
-          let boxed = Par_array.to_array (Partition.apply pat a) in
-          let flat = Flat.apply pat fa in
-          Array.length boxed = Array.length flat
-          && Array.for_all2 (fun b fl -> b = Flat.to_array fl) boxed flat)
-        (patterns_for (Array.length a)))
-
-let prop_flat_roundtrip =
-  qtest "Flat.unapply (Flat.apply pat a) = a for every pattern"
-    QCheck.(list small_int)
-    (fun xs ->
-      let fa = flat_of_ints xs in
-      List.for_all
-        (fun pat ->
-          Flat.to_array (Flat.unapply pat (Flat.apply pat fa) ~kind:Flat.int)
-          = Array.of_list xs)
-        (patterns_for (List.length xs)))
-
-let prop_flat_fastpath_matches_generic =
-  qtest "Flat fast paths = generic path"
-    QCheck.(list small_int)
-    (fun xs ->
-      let fa = flat_of_ints xs in
-      List.for_all
-        (fun pat ->
-          let fast = Flat.apply pat fa and spec = Flat.apply_generic pat fa in
-          Array.length fast = Array.length spec
-          && Array.for_all2 (fun a b -> Flat.equal a b) fast spec
-          && Flat.equal
-               (Flat.unapply pat fast ~kind:Flat.int)
-               (Flat.unapply_generic pat spec ~kind:Flat.int))
-        (patterns_for (List.length xs)))
-
-let prop_flat_float_roundtrip =
-  qtest "Flat float roundtrip across patterns"
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let a = Array.of_list xs in
-      let fa = Flat.of_float_array a in
-      List.for_all
-        (fun pat ->
-          Flat.to_float_array (Flat.unapply pat (Flat.apply pat fa) ~kind:Flat.float64) = a)
-        (patterns_for (Array.length a)))
-
-let test_flat_edge_sizes () =
-  (* empty, single-element, and non-divisible sizes across the three
-     regular patterns, checked against the boxed specification *)
-  let pats = [ Partition.Block 3; Partition.Cyclic 3; Partition.Block_cyclic { parts = 3; block = 2 } ] in
-  List.iter
-    (fun n ->
-      let a = Array.init n (fun i -> (i * 7) + 1) in
-      let fa = Flat.of_array Flat.int a in
-      List.iter
-        (fun pat ->
-          let boxed = Par_array.to_array (Partition.apply pat a) in
-          let flat = Flat.apply pat fa in
-          Alcotest.(check int)
-            (Printf.sprintf "parts at n=%d" n)
-            (Array.length boxed) (Array.length flat);
-          Array.iteri
-            (fun k b -> Alcotest.(check (array int)) "part contents" b (Flat.to_array flat.(k)))
-            boxed;
-          Alcotest.(check (array int)) "roundtrip" a
-            (Flat.to_array (Flat.unapply pat flat ~kind:Flat.int)))
-        pats)
-    [ 0; 1; 2; 3; 5; 7 ]
-
-let test_flat_views_alias () =
-  let fa = Flat.of_float_array [| 0.0; 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  let v = Flat.sub_view fa ~pos:2 ~len:3 in
-  Alcotest.(check int) "view length" 3 (Flat.length v);
-  Flat.set v 0 99.0;
-  Alcotest.(check (float 0.0)) "view aliases base" 99.0 (Flat.get fa 2);
-  (* Block parts are views of the input *)
-  let parts = Flat.apply (Partition.Block 2) fa in
-  Flat.set parts.(0) 0 (-1.0);
-  Alcotest.(check (float 0.0)) "block part aliases input" (-1.0) (Flat.get fa 0);
-  (* unapply always yields fresh storage *)
-  let joined = Flat.unapply (Partition.Block 2) parts ~kind:Flat.float64 in
-  Flat.set joined 0 7.0;
-  Alcotest.(check (float 0.0)) "unapply is fresh" (-1.0) (Flat.get fa 0)
-
 (* --- Flat_exec (unboxed host kernels) ---------------------------------------------
 
    The boxed skeletons are the executable specification. Operands are
@@ -889,36 +803,36 @@ let prop_flat_exec_bitwise =
     (fun xs ->
       let a = dyadics_of_ints xs in
       let n = Array.length a in
-      let fa = Flat.of_float_array a in
       let pa = Par_array.of_array a in
       List.for_all
         (fun ((fx : Flat_exec.t), exec) ->
           let open Flat_exec in
           bitwise
             (Par_array.to_array (Elementary.map ~exec (fun x -> x *. 2.0) pa))
-            (Flat.to_float_array (fx.fmap (Scale 2.0) fa))
+            (fx.fmap (Scale 2.0) a)
           && bitwise
                (Par_array.to_array (Elementary.scan ~exec ( +. ) pa))
-               (Flat.to_float_array (fx.fscan Add fa))
+               (fx.fscan Add a)
           && bitwise
                (Par_array.to_array
                   (Elementary.map_scan ~exec Float.max (fun x -> x +. 1.0) pa))
-               (Flat.to_float_array (fx.fmap_scan (Offset 1.0) Max fa))
+               (fx.fmap_scan (Offset 1.0) Max a)
           && (n = 0
-             || Float.equal (Elementary.fold ~exec ( +. ) pa) (fx.ffold Add fa)
+             || Float.equal (Elementary.fold ~exec ( +. ) pa) (fx.ffold Add a)
                 && Float.equal
                      (Elementary.map_fold ~exec Float.min (fun x -> -.x) pa)
-                     (fx.fmap_fold Neg Min fa)))
+                     (fx.fmap_fold Neg Min a)))
         (List.combine (Lazy.force flat_backends)
            [ Exec.sequential; Lazy.force pexec ]))
 
 let test_flat_exec_edge_sizes () =
   (* every size from empty through 7: below, at, and above the pool's
-     single-chunk regime, including the fold precondition *)
+     single-chunk regime, including the fold precondition; and 255..257,
+     where a float array outgrows the minor heap (256 words) and is
+     allocated straight in the major heap *)
   List.iter
     (fun n ->
       let a = Array.init n (fun i -> float_of_int (i - 3) *. 0.5) in
-      let fa = Flat.of_float_array a in
       let expect_scan = Array.copy a in
       for i = 1 to n - 1 do
         expect_scan.(i) <- expect_scan.(i - 1) +. a.(i)
@@ -929,19 +843,19 @@ let test_flat_exec_edge_sizes () =
           Alcotest.(check bool)
             (Printf.sprintf "%s scan n=%d" fx.name n)
             true
-            (bitwise expect_scan (Flat.to_float_array (fx.fscan Add fa)));
+            (bitwise expect_scan (fx.fscan Add a));
           Alcotest.(check bool)
             (Printf.sprintf "%s map n=%d" fx.name n)
             true
             (bitwise
                (Array.map (fun x -> x +. 1.0) a)
-               (Flat.to_float_array (fx.fmap (Offset 1.0) fa)));
+               (fx.fmap (Offset 1.0) a));
           if n = 0 then
             Alcotest.(check bool)
               (Printf.sprintf "%s ffold empty raises" fx.name)
               true
               (try
-                 ignore (fx.ffold Add fa : float);
+                 ignore (fx.ffold Add a : float);
                  false
                with Invalid_argument _ -> true)
           else
@@ -950,9 +864,9 @@ let test_flat_exec_edge_sizes () =
               true
               (Float.equal
                  (Array.fold_left ( +. ) a.(0) (Array.sub a 1 (n - 1)))
-                 (fx.ffold Add fa)))
+                 (fx.ffold Add a)))
         (Lazy.force flat_backends))
-    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 255; 256; 257 ]
 
 let test_flat_scan_two_phase_vs_spec () =
   (* The pool scan is the Blelloch-style two-phase layout; the spec is the
@@ -964,7 +878,6 @@ let test_flat_scan_two_phase_vs_spec () =
       let a =
         Array.init n (fun i -> float_of_int ((i * 37 mod 256) - 128) *. 0.125)
       in
-      let fa = Flat.of_float_array a in
       let spec = Array.copy a in
       for i = 1 to n - 1 do
         spec.(i) <- spec.(i - 1) +. a.(i)
@@ -972,7 +885,7 @@ let test_flat_scan_two_phase_vs_spec () =
       Alcotest.(check bool)
         (Printf.sprintf "two-phase scan = prefix spec at n=%d" n)
         true
-        (bitwise spec (Flat.to_float_array (fx.Flat_exec.fscan Flat_exec.Add fa))))
+        (bitwise spec (fx.Flat_exec.fscan Flat_exec.Add a)))
     [ 255; 256; 257; 1000; 4096; 5001 ]
 
 let test_flat_chain_across_blocks () =
@@ -985,7 +898,6 @@ let test_flat_chain_across_blocks () =
   List.iter
     (fun n ->
       let a = Array.init n (fun i -> float_of_int ((i * 7919 mod 4096) - 2048) *. 0.25) in
-      let fa = Flat.of_float_array a in
       let pa = Par_array.of_array a in
       List.iter
         (fun ((fx : Flat_exec.t), exec) ->
@@ -995,7 +907,7 @@ let test_flat_chain_across_blocks () =
             (label "chain fmap") true
             (bitwise
                (Par_array.to_array (Elementary.map ~exec g pa))
-               (Flat.to_float_array (fx.fmap chain fa)));
+               (fx.fmap chain a));
           List.iter
             (fun (op, f) ->
               Alcotest.(check bool)
@@ -1003,14 +915,14 @@ let test_flat_chain_across_blocks () =
                 true
                 (bitwise
                    (Par_array.to_array (Elementary.map_scan ~exec f g pa))
-                   (Flat.to_float_array (fx.fmap_scan chain op fa)));
+                   (fx.fmap_scan chain op a));
               Alcotest.(check bool)
                 (label ("chain fmap_fold " ^ fun2_name op))
                 true
-                (Float.equal (Elementary.map_fold ~exec f g pa) (fx.fmap_fold chain op fa)))
+                (Float.equal (Elementary.map_fold ~exec f g pa) (fx.fmap_fold chain op a)))
             [ (Add, ( +. )); (Max, Float.max); (Min, Float.min) ])
         (List.combine (Lazy.force flat_backends) [ Exec.sequential; Lazy.force pexec ]))
-    [ 1; 2047; 2048; 2049; (3 * 2048) + 5; 100_003 ]
+    [ 1; 255; 256; 257; 2047; 2048; 2049; (3 * 2048) + 5; 100_003 ]
 
 let test_flat_scan_minor_words () =
   (* The acceptance pin for the bench pair host/{boxed,flat}-scan: the
@@ -1018,15 +930,14 @@ let test_flat_scan_minor_words () =
      backends only — [Gc.minor_words] is per-domain, and the pool would
      do its allocating on the workers where we cannot see it. The boxed
      scan boxes a float per output element (>= 2n minor words at
-     n = 100k); the flat scan's output lives off-heap, so only the
-     Bigarray handle itself touches the minor heap. *)
+     n = 100k); the flat scan's output is one unboxed float array, which
+     at this size is allocated straight in the major heap. *)
   let n = 100_000 in
   let a = Array.init n (fun i -> float_of_int ((i * 7919 mod 4096) - 2048)) in
-  let fa = Flat.of_float_array a in
   let pa = Par_array.of_array a in
   let boxed () = ignore (Elementary.scan ( +. ) pa : float Par_array.t) in
   let flat () =
-    ignore (Flat_exec.sequential.Flat_exec.fscan Flat_exec.Add fa : Flat.float1)
+    ignore (Flat_exec.sequential.Flat_exec.fscan Flat_exec.Add a : float array)
   in
   boxed ();
   flat ();
@@ -1048,11 +959,10 @@ let test_flat_kernels_allocation_free () =
      minor words per call, not per element: maps are staged through a
      block buffer by monomorphic loops and accumulators stay unboxed.
      Budget: n/100 words at n = 100k, where one boxed float per element
-     would cost 2n.  The float-array conversions on either side of the
-     tier are held to the same budget. *)
+     would cost 2n.  Outputs and staging blocks are float arrays above
+     the minor heap's size limit, so they never touch it. *)
   let n = 100_000 in
   let a = Array.init n (fun i -> float_of_int ((i * 7919 mod 4096) - 2048) *. 0.25) in
-  let fa = Flat.of_float_array a in
   let fx = Flat_exec.sequential in
   let open Flat_exec in
   let maps = [ Id; Neg; Scale 0.5; Offset 1.0; Chain [ Offset 1.0; Scale 2.0; Scale 0.5 ] ] in
@@ -1067,22 +977,80 @@ let test_flat_kernels_allocation_free () =
       (Printf.sprintf "%s: %.0f minor words < %.0f" label words budget)
       true (words < budget)
   in
-  check "Flat.of_float_array" (fun () -> ignore (Flat.of_float_array a : Flat.float1));
-  check "Flat.to_float_array" (fun () -> ignore (Flat.to_float_array fa : float array));
   List.iter
-    (fun f -> check ("fmap " ^ fun1_name f) (fun () -> ignore (fx.fmap f fa : Flat.float1)))
+    (fun f -> check ("fmap " ^ fun1_name f) (fun () -> ignore (fx.fmap f a : float array)))
     maps;
   List.iter
     (fun op ->
-      check ("ffold " ^ fun2_name op) (fun () -> ignore (fx.ffold op fa : float));
-      check ("fscan " ^ fun2_name op) (fun () -> ignore (fx.fscan op fa : Flat.float1));
+      check ("ffold " ^ fun2_name op) (fun () -> ignore (fx.ffold op a : float));
+      check ("fscan " ^ fun2_name op) (fun () -> ignore (fx.fscan op a : float array));
       List.iter
         (fun f ->
           let name = fun1_name f ^ " " ^ fun2_name op in
-          check ("fmap_fold " ^ name) (fun () -> ignore (fx.fmap_fold f op fa : float));
-          check ("fmap_scan " ^ name) (fun () -> ignore (fx.fmap_scan f op fa : Flat.float1)))
+          check ("fmap_fold " ^ name) (fun () -> ignore (fx.fmap_fold f op a : float));
+          check ("fmap_scan " ^ name) (fun () -> ignore (fx.fmap_scan f op a : float array)))
         maps)
     ops
+
+let test_flat_kernels_leave_input () =
+  (* The kernels read the caller's float array directly, with no copy in
+     between, so none may write to it: every kernel on both backends, for
+     primitive, chained and escape-hatch operators, leaves its input
+     bitwise unchanged. *)
+  let open Flat_exec in
+  let maps =
+    [ Id; Neg; Scale 0.5; Offset 1.0; Chain [ Offset 1.0; Scale 2.0 ]; Fun1 (fun x -> x *. 3.0) ]
+  in
+  let ops = [ Add; Max; Fun2 Float.min ] in
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun i -> float_of_int ((i * 7919 mod 4096) - 2048) *. 0.25) in
+      let before = Array.copy a in
+      List.iter
+        (fun (fx : Flat_exec.t) ->
+          let label what = Printf.sprintf "%s %s n=%d" fx.name what n in
+          let untouched what = Alcotest.(check bool) (label what) true (bitwise before a) in
+          List.iter
+            (fun f ->
+              ignore (fx.fmap f a : float array);
+              untouched ("fmap " ^ fun1_name f);
+              List.iter
+                (fun op ->
+                  if n > 0 then begin
+                    ignore (fx.fmap_fold f op a : float);
+                    untouched ("fmap_fold " ^ fun1_name f ^ " " ^ fun2_name op)
+                  end;
+                  ignore (fx.fmap_scan f op a : float array);
+                  untouched ("fmap_scan " ^ fun1_name f ^ " " ^ fun2_name op))
+                ops)
+            maps;
+          List.iter
+            (fun op ->
+              if n > 0 then ignore (fx.ffold op a : float);
+              ignore (fx.fscan op a : float array);
+              untouched ("ffold/fscan " ^ fun2_name op))
+            ops)
+        (Lazy.force flat_backends))
+    [ 0; 1; 7; 255; 256; 257; 5001 ]
+
+let test_flat_fmap_id_fresh () =
+  (* [fmap Id] is a copy: a fresh array, never the input itself, so a
+     caller may mutate the result.  Every empty float array is the same
+     atom, so sizes start at 1. *)
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun i -> float_of_int (i - 100) *. 0.5) in
+      let before = Array.copy a in
+      List.iter
+        (fun (fx : Flat_exec.t) ->
+          let label what = Printf.sprintf "%s %s n=%d" fx.Flat_exec.name what n in
+          let copy = fx.Flat_exec.fmap Flat_exec.Id a in
+          Alcotest.(check bool) (label "fmap Id = input") true (bitwise before copy);
+          Alcotest.(check bool) (label "fmap Id is not the input") true (copy != a);
+          copy.(0) <- copy.(0) +. 1.0;
+          Alcotest.(check bool) (label "the copy does not alias the input") true (bitwise before a))
+        (Lazy.force flat_backends))
+    [ 1; 255; 256; 257; 5001 ]
 
 (* --- Exec internals --------------------------------------------------------------- *)
 
@@ -1125,6 +1093,7 @@ let () =
           Alcotest.test_case "fast paths at sizes 0..n<parts" `Quick
             test_partition_fastpath_small_sizes;
           prop_split_combine;
+          prop_block_bounds;
         ] );
       ( "partition2",
         [
@@ -1229,15 +1198,6 @@ let () =
           Alcotest.test_case "combine order" `Quick test_fused_combine_order;
           Alcotest.test_case "empty inputs" `Quick test_fused_empty;
         ] );
-      ( "flat",
-        [
-          prop_flat_apply_matches_partition;
-          prop_flat_roundtrip;
-          prop_flat_fastpath_matches_generic;
-          prop_flat_float_roundtrip;
-          Alcotest.test_case "edge sizes vs boxed spec" `Quick test_flat_edge_sizes;
-          Alcotest.test_case "view aliasing discipline" `Quick test_flat_views_alias;
-        ] );
       ( "flat_exec",
         [
           prop_flat_exec_bitwise;
@@ -1249,6 +1209,9 @@ let () =
             test_flat_scan_minor_words;
           Alcotest.test_case "flat kernels allocate nothing per element" `Quick
             test_flat_kernels_allocation_free;
+          Alcotest.test_case "kernels leave their input untouched" `Quick
+            test_flat_kernels_leave_input;
+          Alcotest.test_case "fmap Id returns a fresh array" `Quick test_flat_fmap_id_fresh;
         ] );
       ( "exec",
         [

